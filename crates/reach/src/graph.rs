@@ -30,7 +30,7 @@ use crate::pager::{EdgeSegment, PagedEdges, PagerConfig, SegmentData, SpillError
 use crate::store::{self, EnvRef, MarkingView, PendingShard, StateRef, StateStore};
 use crate::sync::Mutex;
 use pnut_core::expr::compile as bc;
-use pnut_core::{Net, Time, Transition, TransitionId};
+use pnut_core::{Net, Transition, TransitionId};
 use pnut_obs as obs;
 use std::cell::OnceCell;
 use std::fmt;
@@ -41,11 +41,13 @@ use std::ops::Range;
 pub struct ReachOptions {
     /// Stop with [`ReachError::StateLimit`] beyond this many states.
     pub max_states: usize,
-    /// Worker threads for frontier exploration: `1` builds sequentially,
-    /// `0` uses [`std::thread::available_parallelism`], anything else is
-    /// an explicit thread count. Every job count produces a bit-identical
-    /// graph (see [`crate::store`] for how the level barrier guarantees
-    /// it), so this is purely a throughput knob.
+    /// Worker threads for frontier exploration: `0` uses
+    /// [`std::thread::available_parallelism`], anything else is an
+    /// explicit thread count. Every job count runs the same successor
+    /// generator and produces a bit-identical graph (see
+    /// [`crate::store`] for how the level barrier guarantees it), so
+    /// this is purely a throughput knob: `1` interns each successor in
+    /// place, more build level by level.
     pub jobs: usize,
     /// Resident byte budget for the state arenas; cold level segments
     /// beyond it spill to a temp file and are reloaded on demand (see
@@ -629,7 +631,6 @@ struct Compiled {
     /// Maximum concurrent firings (timed nets).
     cap: Option<u32>,
     has_predicate: bool,
-    has_action: bool,
 }
 
 fn compile(net: &Net) -> Vec<Compiled> {
@@ -666,7 +667,6 @@ fn compile(net: &Net) -> Vec<Compiled> {
                 start_delta: start.into_iter().collect(),
                 cap: t.max_concurrent(),
                 has_predicate: t.predicate().is_some(),
-                has_action: t.action().is_some(),
             }
         })
         .collect()
@@ -717,70 +717,212 @@ struct TimedTicks {
     enabling: Vec<Option<u64>>,
 }
 
-/// The firing delay of compiled transition `ti`/`id` for the successor
-/// under construction: the pre-resolved constant, or the expression
-/// evaluated against `env` (the environment *after* the action — "the
-/// action runs before the delay is resolved so table-driven models can
-/// compute their own firing times", paper §3).
-fn firing_delay(
-    net: &Net,
-    programs: &bc::CompiledNet,
-    ticks: &TimedTicks,
-    ti: usize,
-    id: TransitionId,
-    slots: &bc::EnvSlots,
-    vm: &mut bc::Scratch,
-) -> Result<u64, ReachError> {
-    if let Some(t) = ticks.firing[ti] {
-        return Ok(t);
+impl TimedTicks {
+    fn new(net: &Net) -> Self {
+        let fixed = |d: &pnut_core::Delay| match d {
+            pnut_core::Delay::Fixed(ticks) => Some(*ticks),
+            pnut_core::Delay::Expr(_) => None,
+        };
+        TimedTicks {
+            firing: net
+                .transitions()
+                .map(|(_, t)| fixed(t.firing_time()))
+                .collect(),
+            enabling: net
+                .transitions()
+                .map(|(_, t)| fixed(t.enabling_time()))
+                .collect(),
+        }
     }
-    let prog = programs.transitions[ti]
-        .firing
-        .as_ref()
-        .expect("non-constant slot holds an expression delay");
-    let t = net.transition(id);
-    let v = prog
-        .eval_pure(slots, &programs.map, vm)
-        .and_then(|v| v.as_int())
-        .map_err(|e| eval_err(t, e))?;
-    u64::try_from(v).map_err(|_| eval_err(t, pnut_core::EvalError::Overflow))
 }
 
-/// The enabling delay of compiled transition `ti`/`id` for a state
-/// whose environment is `env`: the pre-resolved constant, or the
-/// expression evaluated against the environment *at arm time* — the
-/// moment the transition becomes ready in the successor under
-/// construction, mirroring the simulator's `refresh_enabling` (which
-/// resolves once when the clock arms and keeps the deadline while the
-/// transition stays continuously ready).
-fn enabling_delay(
-    net: &Net,
-    programs: &bc::CompiledNet,
-    ticks: &TimedTicks,
-    ti: usize,
-    id: TransitionId,
-    slots: &bc::EnvSlots,
-    vm: &mut bc::Scratch,
-) -> Result<u64, ReachError> {
-    if let Some(t) = ticks.enabling[ti] {
-        return Ok(t);
-    }
-    let prog = programs.transitions[ti]
-        .enabling
-        .as_ref()
-        .expect("non-constant slot holds an expression delay");
-    let t = net.transition(id);
-    let v = prog
-        .eval_pure(slots, &programs.map, vm)
-        .and_then(|v| v.as_int())
-        .map_err(|e| eval_err(t, e))?;
-    u64::try_from(v).map_err(|_| eval_err(t, pnut_core::EvalError::Overflow))
+/// The read-only half of a build, shared by every worker: the net, its
+/// transitions in hot-loop form and as bytecode, and (timed builds
+/// only) the per-transition delays.
+struct Semantics<'a> {
+    net: &'a Net,
+    compiled: Vec<Compiled>,
+    /// Bytecode programs for every transition expression, compiled once
+    /// against the net's slot map.
+    programs: bc::CompiledNet,
+    ticks: Option<TimedTicks>,
 }
 
-/// Reusable per-worker scratch buffers: one copy of the state under
-/// expansion and one successor under construction, so successor
-/// generation is allocation-free on the steady state. The sequential
-/// explorer owns one; the parallel builder gives each worker its own.
+impl Semantics<'_> {
+    /// A firing or enabling delay of transition `id`: the pre-resolved
+    /// constant `fixed`, or the expression `expr` evaluated against
+    /// `slots`. Firing delays see the environment *after* the action
+    /// ("the action runs before the delay is resolved so table-driven
+    /// models can compute their own firing times", paper §3); enabling
+    /// delays see the environment at arm time, mirroring the
+    /// simulator's `refresh_enabling` (which resolves once when the
+    /// clock arms and keeps the deadline while the transition stays
+    /// continuously ready).
+    fn delay(
+        &self,
+        fixed: Option<u64>,
+        expr: Option<&bc::Program>,
+        id: TransitionId,
+        slots: &bc::EnvSlots,
+        vm: &mut bc::Scratch,
+    ) -> Result<u64, ReachError> {
+        if let Some(t) = fixed {
+            return Ok(t);
+        }
+        let prog = expr.expect("non-constant slot holds an expression delay");
+        let t = self.net.transition(id);
+        let v = prog
+            .eval_pure(slots, &self.programs.map, vm)
+            .and_then(|v| v.as_int())
+            .map_err(|e| eval_err(t, e))?;
+        u64::try_from(v).map_err(|_| eval_err(t, pnut_core::EvalError::Overflow))
+    }
+
+    /// Run `ct`'s compiled predicate against the slot-form environment
+    /// (true when absent).
+    fn predicate_holds(
+        &self,
+        ti: usize,
+        ct: &Compiled,
+        slots: &bc::EnvSlots,
+        vm: &mut bc::Scratch,
+    ) -> Result<bool, ReachError> {
+        match &self.programs.transitions[ti].predicate {
+            None => Ok(true),
+            Some(p) => p
+                .eval_pure(slots, &self.programs.map, vm)
+                .and_then(|v| v.as_bool())
+                .map_err(|e| eval_err(self.net.transition(ct.id), e)),
+        }
+    }
+}
+
+/// How many entries of the multiset `set` belong to transition `id`.
+fn count_of(set: &[(TransitionId, u64)], id: TransitionId) -> u32 {
+    set.iter().filter(|&&(x, _)| x == id).count() as u32
+}
+
+/// Where the successor expansion interns what it discovers. The two
+/// build drivers share [`Scratch::expand`] and differ only here.
+trait Intern {
+    /// An interned successor environment.
+    type Env: Copy;
+    /// An edge target.
+    type Target;
+    /// The handle of an environment the committed store already holds.
+    fn committed_env(id: u32) -> Self::Env;
+    /// Intern a post-action environment first met at discovery `key`.
+    fn env(&mut self, env: &pnut_core::expr::Env, key: u64) -> Result<Self::Env, ReachError>;
+    /// Intern the successor under construction in `sc`.
+    fn state(&mut self, sc: &Scratch, env: Self::Env, key: u64)
+        -> Result<Self::Target, ReachError>;
+}
+
+/// The jobs = 1 interner: successors go straight into the store, and
+/// the state cap is enforced *at intern time*, so a
+/// [`ReachError::StateLimit`] leaves the store with exactly
+/// `max_states` states.
+struct Committed<'s> {
+    store: &'s mut StateStore,
+    max_states: usize,
+}
+
+impl Intern for Committed<'_> {
+    type Env = u32;
+    type Target = u32;
+
+    fn committed_env(id: u32) -> u32 {
+        id
+    }
+
+    fn env(&mut self, env: &pnut_core::expr::Env, _key: u64) -> Result<u32, ReachError> {
+        self.store.intern_env(env)
+    }
+
+    fn state(&mut self, sc: &Scratch, env: u32, _key: u64) -> Result<u32, ReachError> {
+        let (target, _) = self.store.intern_bounded(
+            &sc.next_marking,
+            sc.next_hash,
+            env,
+            &sc.next_inflight,
+            &sc.next_enabling,
+            self.max_states,
+        )?;
+        Ok(target as u32)
+    }
+}
+
+/// An edge target as seen during a level: either a state the committed
+/// store already holds, or a packed pending id into the level's shards
+/// (rewritten to a dense index at the barrier).
+#[derive(Debug, Clone, Copy)]
+enum RawTarget {
+    Committed(u32),
+    Pending(u32),
+}
+
+/// The level workers' interner: probe the frozen committed store, and
+/// fall back to the lock-striped pending shard selected by the top bits
+/// of the hash. Pending entries remember the smallest discovery key
+/// that reached them and are numbered at the level barrier.
+#[derive(Clone, Copy)]
+struct Pending<'a> {
+    store: &'a StateStore,
+    shards: &'a [Mutex<PendingShard>],
+}
+
+impl Intern for Pending<'_> {
+    type Env = EnvRef;
+    type Target = RawTarget;
+
+    fn committed_env(id: u32) -> EnvRef {
+        EnvRef::Committed(id)
+    }
+
+    fn env(&mut self, env: &pnut_core::expr::Env, key: u64) -> Result<EnvRef, ReachError> {
+        let hash = store::fx_hash_of(env);
+        if let Some(id) = self.store.find_env_hashed(env, hash) {
+            return Ok(EnvRef::Committed(id));
+        }
+        let shard = store::shard_index(hash, self.shards.len());
+        let mut sh = self.shards[shard].lock().expect("env shard lock");
+        sh.intern_env(env, hash, key).map(EnvRef::Pending)
+    }
+
+    fn state(&mut self, sc: &Scratch, env: EnvRef, key: u64) -> Result<RawTarget, ReachError> {
+        if let EnvRef::Committed(e) = env {
+            if let Some(i) = self.store.find_state_hashed(
+                &sc.next_marking,
+                sc.next_hash,
+                e,
+                &sc.next_inflight,
+                &sc.next_enabling,
+            )? {
+                return Ok(RawTarget::Committed(i));
+            }
+        }
+        let hash =
+            store::pending_state_hash(sc.next_hash, env, &sc.next_inflight, &sc.next_enabling);
+        let shard = store::shard_index(hash, self.shards.len());
+        let mut sh = self.shards[shard].lock().expect("state shard lock");
+        sh.intern_state(
+            &sc.next_marking,
+            sc.next_hash,
+            hash,
+            env,
+            &sc.next_inflight,
+            &sc.next_enabling,
+            key,
+        )
+        .map(RawTarget::Pending)
+    }
+}
+
+/// Reusable per-worker scratch: one copy of the state under expansion
+/// and one successor under construction, plus the slot-form
+/// environments and register file the compiled programs run on, so
+/// successor generation is allocation-free on the steady state. Every
+/// worker of either build driver owns one.
 struct Scratch {
     /// Copy of the current state's marking (stable while the store grows).
     cur_marking: Vec<u32>,
@@ -790,6 +932,11 @@ struct Scratch {
     cur_inflight: Vec<(TransitionId, u64)>,
     /// Copy of the current state's enabling-clock multiset.
     cur_enabling: Vec<(TransitionId, u64)>,
+    /// Slot-form environment of the current state.
+    cur_slots: bc::EnvSlots,
+    /// Which interned env id `cur_slots` holds: consecutive states
+    /// usually share an environment, so reloads are skipped.
+    loaded_env: Option<u32>,
     /// Successor marking under construction.
     next_marking: Vec<u32>,
     /// Marking-part hash of `next_marking`, maintained incrementally.
@@ -798,6 +945,10 @@ struct Scratch {
     next_inflight: Vec<(TransitionId, u64)>,
     /// Successor enabling-clock multiset under construction.
     next_enabling: Vec<(TransitionId, u64)>,
+    /// Slot-form successor environment (after an action).
+    next_slots: bc::EnvSlots,
+    /// Bytecode register file, shared by every program.
+    vm: bc::Scratch,
 }
 
 impl Scratch {
@@ -807,16 +958,25 @@ impl Scratch {
             cur_hash: 0,
             cur_inflight: Vec::new(),
             cur_enabling: Vec::new(),
+            cur_slots: bc::EnvSlots::new(),
+            loaded_env: None,
             next_marking: vec![0; places],
             next_hash: 0,
             next_inflight: Vec::new(),
             next_enabling: Vec::new(),
+            next_slots: bc::EnvSlots::new(),
+            vm: bc::Scratch::new(),
         }
     }
 
     /// Load state `cur` into the scratch copies (faulting its segment
     /// in if evicted); returns its env id.
-    fn load(&mut self, store: &StateStore, cur: usize) -> Result<u32, ReachError> {
+    fn load(
+        &mut self,
+        sem: &Semantics<'_>,
+        store: &StateStore,
+        cur: usize,
+    ) -> Result<u32, ReachError> {
         self.cur_marking
             .copy_from_slice(store.try_marking_slice(cur)?);
         self.cur_hash = StateStore::marking_hash(&self.cur_marking);
@@ -826,7 +986,33 @@ impl Scratch {
         self.cur_enabling.clear();
         self.cur_enabling
             .extend_from_slice(store.try_enabling_slice(cur)?);
-        store.try_env_id(cur)
+        let env = store.try_env_id(cur)?;
+        if self.loaded_env != Some(env) {
+            self.cur_slots.load(&sem.programs.map, store.env(env));
+            self.loaded_env = Some(env);
+        }
+        Ok(env)
+    }
+
+    /// Arm the initial state's enabling clocks into `next_enabling`
+    /// (left empty for untimed builds): the simulator refreshes its
+    /// clocks before the first step, so every initially ready
+    /// transition starts with a full countdown.
+    fn arm_initial(
+        &mut self,
+        sem: &Semantics<'_>,
+        store: &StateStore,
+        initial_env: u32,
+    ) -> Result<(), ReachError> {
+        if let Some(ticks) = &sem.ticks {
+            self.cur_slots
+                .load(&sem.programs.map, store.env(initial_env));
+            self.loaded_env = Some(initial_env);
+            self.next_marking
+                .copy_from_slice(sem.net.initial_marking().as_slice());
+            self.compute_next_enabling(sem, ticks, false, None, 0)?;
+        }
+        Ok(())
     }
 
     /// Whether compiled transition `ct` is marking-enabled in the
@@ -853,8 +1039,7 @@ impl Scratch {
     /// when `atomic`, inputs only otherwise (timed nets deliver outputs
     /// at end-of-firing).
     fn fire(&mut self, net: &Net, ct: &Compiled, atomic: bool) -> Result<(), ReachError> {
-        self.next_marking.copy_from_slice(&self.cur_marking);
-        self.next_hash = self.cur_hash;
+        self.begin_next();
         let delta = if atomic {
             &ct.fire_delta
         } else {
@@ -868,8 +1053,169 @@ impl Scratch {
         })
     }
 
+    /// Expand the loaded state `src` (environment `env_id`), appending
+    /// its successor row to `row`. Every transition that can start —
+    /// marking-enabled; for timed builds also under its concurrency cap
+    /// with no enabling clock still counting down; predicate true — gets
+    /// a `Fire` edge, in transition-id order; then, in timed builds, the
+    /// maximal-progress `Advance` edge. This is the one successor
+    /// generator: both build drivers call it, so every job count and
+    /// budget shares one semantics. Errors carry the discovery key of
+    /// the edge that raised them, so the level barrier can report the
+    /// one met first in breadth-first order.
+    fn expand<I: Intern>(
+        &mut self,
+        sem: &Semantics<'_>,
+        intern: &mut I,
+        src: usize,
+        env_id: u32,
+        row: &mut Vec<(EdgeLabel, I::Target)>,
+    ) -> Result<(), (u64, ReachError)> {
+        let mut can_start = false;
+        for (ti, ct) in sem.compiled.iter().enumerate() {
+            if !self.enabled(ct) {
+                continue;
+            }
+            // Timed builds also gate on the concurrency cap and the
+            // enabling clock: a transition whose clock is still counting
+            // down cannot start. (Ready transitions with a pending delay
+            // always carry a clock entry, so a missing entry means the
+            // resolved delay was 0.)
+            if sem.ticks.is_some()
+                && (ct
+                    .cap
+                    .is_some_and(|cap| count_of(&self.cur_inflight, ct.id) >= cap)
+                    || self.cur_enabling.iter().any(|&(x, k)| x == ct.id && k > 0))
+            {
+                continue;
+            }
+            let key = discovery_key(src, row.len());
+            if ct.has_predicate
+                && !sem
+                    .predicate_holds(ti, ct, &self.cur_slots, &mut self.vm)
+                    .map_err(|e| (key, e))?
+            {
+                continue;
+            }
+            can_start = true;
+            let target = self
+                .start(sem, intern, ti, ct, env_id, key)
+                .map_err(|e| (key, e))?;
+            row.push((EdgeLabel::Fire(ct.id), target));
+        }
+
+        // Maximal progress: time passes only when nothing can start and
+        // something is pending — an in-flight completion or an enabling
+        // deadline. Then every enabling countdown is positive, so the
+        // advance is too.
+        if let Some(ticks) = &sem.ticks {
+            let dt = if can_start {
+                None
+            } else {
+                self.cur_inflight
+                    .iter()
+                    .chain(&self.cur_enabling)
+                    .map(|&(_, r)| r)
+                    .min()
+            };
+            if let Some(dt) = dt {
+                debug_assert!(dt > 0, "zero advance would loop forever");
+                let key = discovery_key(src, row.len());
+                let target = self
+                    .advance(sem, ticks, intern, env_id, dt, key)
+                    .map_err(|e| (key, e))?;
+                row.push((EdgeLabel::Advance(dt), target));
+            }
+        }
+        Ok(())
+    }
+
+    /// Start firing `ct` and intern the successor. The action runs
+    /// first, as in the simulator; then the firing delay is resolved
+    /// against the post-action environment, the tokens move (all of
+    /// them for an untimed or zero-delay firing, the inputs only
+    /// otherwise), and the enabling clocks are recomputed.
+    fn start<I: Intern>(
+        &mut self,
+        sem: &Semantics<'_>,
+        intern: &mut I,
+        ti: usize,
+        ct: &Compiled,
+        env_id: u32,
+        key: u64,
+    ) -> Result<I::Target, ReachError> {
+        let (env, acted) = match &sem.programs.transitions[ti].action {
+            None => (I::committed_env(env_id), false),
+            Some(prog) => {
+                self.next_slots.copy_from(&self.cur_slots);
+                prog.apply_pure(&mut self.next_slots, &sem.programs.map, &mut self.vm)
+                    .map_err(|e| eval_err(sem.net.transition(ct.id), e))?;
+                let env = self.next_slots.to_env(&sem.programs.map);
+                (intern.env(&env, key)?, true)
+            }
+        };
+        match &sem.ticks {
+            None => {
+                self.fire(sem.net, ct, true)?;
+                self.next_inflight.clear();
+                self.next_enabling.clear();
+            }
+            Some(ticks) => {
+                let slots = if acted {
+                    &self.next_slots
+                } else {
+                    &self.cur_slots
+                };
+                let ft = sem.delay(
+                    ticks.firing[ti],
+                    sem.programs.transitions[ti].firing.as_ref(),
+                    ct.id,
+                    slots,
+                    &mut self.vm,
+                )?;
+                self.fire(sem.net, ct, ft == 0)?;
+                self.next_inflight.clear();
+                self.next_inflight.extend_from_slice(&self.cur_inflight);
+                if ft != 0 {
+                    self.next_inflight.push((ct.id, ft));
+                    self.next_inflight.sort_unstable();
+                }
+                self.compute_next_enabling(sem, ticks, acted, Some(ct.id), 0)?;
+            }
+        }
+        intern.state(self, env, key)
+    }
+
+    /// Let `dt` ticks pass and intern the successor: firings whose
+    /// remaining time is `dt` complete and deliver their outputs, the
+    /// rest count down, and the enabling clocks are recomputed.
+    fn advance<I: Intern>(
+        &mut self,
+        sem: &Semantics<'_>,
+        ticks: &TimedTicks,
+        intern: &mut I,
+        env_id: u32,
+        dt: u64,
+        key: u64,
+    ) -> Result<I::Target, ReachError> {
+        self.begin_next();
+        self.next_inflight.clear();
+        for i in 0..self.cur_inflight.len() {
+            let (tid, r) = self.cur_inflight[i];
+            if r == dt {
+                self.deliver_outputs(sem.net.transition(tid))?;
+            } else {
+                self.next_inflight.push((tid, r - dt));
+            }
+        }
+        self.next_inflight.sort_unstable();
+        self.compute_next_enabling(sem, ticks, false, None, dt)?;
+        intern.state(self, I::committed_env(env_id), key)
+    }
+
     /// Recompute the enabling-clock multiset of the successor under
-    /// construction (`next_marking` + `next_inflight` + `env`) into
+    /// construction (`next_marking` + `next_inflight` + its environment:
+    /// `next_slots` if an action ran, `cur_slots` otherwise) into
     /// `next_enabling`, mirroring the simulator's `refresh_enabling`:
     ///
     /// * a transition with a (possibly per-state) enabling delay gets
@@ -886,24 +1232,25 @@ impl Scratch {
     ///   delay resolution — a firing always ends its own enabling
     ///   interval;
     /// * a newly ready transition starts a fresh clock, resolving an
-    ///   expression delay against `env` — the environment at arm time.
+    ///   expression delay against the environment at arm time.
     ///
     /// Entries come out sorted by transition id because `compiled` is
     /// iterated in id order.
-    #[allow(clippy::too_many_arguments)] // bundled per-build context threads through
     fn compute_next_enabling(
         &mut self,
-        net: &Net,
-        compiled: &[Compiled],
-        programs: &bc::CompiledNet,
+        sem: &Semantics<'_>,
         ticks: &TimedTicks,
-        slots: &bc::EnvSlots,
-        vm: &mut bc::Scratch,
+        acted: bool,
         fired: Option<TransitionId>,
         elapsed: u64,
     ) -> Result<(), ReachError> {
+        let slots = if acted {
+            &self.next_slots
+        } else {
+            &self.cur_slots
+        };
         self.next_enabling.clear();
-        for (ti, ct) in compiled.iter().enumerate() {
+        for (ti, ct) in sem.compiled.iter().enumerate() {
             if ticks.enabling[ti] == Some(0) {
                 continue;
             }
@@ -915,27 +1262,28 @@ impl Scratch {
                     .inhib
                     .iter()
                     .all(|&(p, th)| self.next_marking[p as usize] < th)
-                && ct.cap.is_none_or(|cap| {
-                    (self
-                        .next_inflight
-                        .iter()
-                        .filter(|&&(x, _)| x == ct.id)
-                        .count() as u32)
-                        < cap
-                });
+                && ct
+                    .cap
+                    .is_none_or(|cap| count_of(&self.next_inflight, ct.id) < cap);
             if !ready {
                 continue;
             }
-            if ct.has_predicate && !predicate_holds(net, programs, ti, ct, slots, vm)? {
+            if ct.has_predicate && !sem.predicate_holds(ti, ct, slots, &mut self.vm)? {
                 continue;
             }
-            let countdown = if fired == Some(ct.id) {
-                enabling_delay(net, programs, ticks, ti, ct.id, slots, vm)?
-            } else {
-                match self.cur_enabling.iter().find(|&&(x, _)| x == ct.id) {
-                    Some(&(_, k)) => k - elapsed,
-                    None => enabling_delay(net, programs, ticks, ti, ct.id, slots, vm)?,
-                }
+            let running = match self.cur_enabling.iter().find(|&&(x, _)| x == ct.id) {
+                Some(&(_, k)) if fired != Some(ct.id) => Some(k - elapsed),
+                _ => None,
+            };
+            let countdown = match running {
+                Some(k) => k,
+                None => sem.delay(
+                    ticks.enabling[ti],
+                    sem.programs.transitions[ti].enabling.as_ref(),
+                    ct.id,
+                    slots,
+                    &mut self.vm,
+                )?,
             };
             self.next_enabling.push((ct.id, countdown));
         }
@@ -963,460 +1311,143 @@ impl Scratch {
     }
 }
 
-/// Run `ct`'s compiled predicate against the slot-form environment
-/// (true when absent).
-fn predicate_holds(
+/// The discovery key of the `seq`-th edge out of state `src`: the
+/// position of that edge in breadth-first order, which is the order the
+/// jobs = 1 driver meets it. Pending states and environments are
+/// committed in ascending key order at the level barrier, which is what
+/// makes every job count build the same graph.
+fn discovery_key(src: usize, seq: usize) -> u64 {
+    ((src as u64) << 32) | seq as u64
+}
+
+/// Per-level observability, shared by both build drivers (the jobs = 1
+/// driver recovers the level boundaries with a watermark, so both emit
+/// identical level metrics — the builds are bit-identical). `level` is
+/// 1-based and `width` is the state count of the level just completed.
+/// The heartbeat line is built from deterministic quantities only, so a
+/// fixed run configuration always prints the same lines.
+fn note_level(store: &StateStore, level: u64, width: usize, budget: usize) {
+    obs::metrics::REACH_LEVELS.inc();
+    obs::metrics::REACH_FRONTIER_WIDTH.record(width as u64);
+    obs::metrics::REACH_PEAK_FRONTIER.set_max(width as u64);
+    obs::heartbeat(level, || {
+        format!(
+            "reach level {level}: {} states, frontier {width}, resident {} / {}, faults {}",
+            store.len(),
+            obs::bytes::format_bytes(store.resident_arena_bytes() as u64),
+            obs::bytes::format_bytes(budget as u64),
+            obs::metrics::PAGER_FAULTS.get(),
+        )
+    });
+}
+
+/// Build the reachability graph (untimed when `ticks` is `None`, timed
+/// otherwise). Both drivers run the same [`Scratch::expand`] and
+/// produce bit-identical graphs; the job count only picks the faster
+/// one. One job expands each state in place and interns straight into
+/// the store, with no pending shards or barrier splice to pay for.
+/// Several jobs build level-synchronously (see [`crate::store`]).
+fn build(
     net: &Net,
-    programs: &bc::CompiledNet,
-    ti: usize,
-    ct: &Compiled,
-    slots: &bc::EnvSlots,
-    vm: &mut bc::Scratch,
-) -> Result<bool, ReachError> {
-    match &programs.transitions[ti].predicate {
-        None => Ok(true),
-        Some(p) => {
-            let t = net.transition(ct.id);
-            p.eval_pure(slots, &programs.map, vm)
-                .and_then(|v| v.as_bool())
-                .map_err(|e| eval_err(t, e))
-        }
+    options: &ReachOptions,
+    ticks: Option<TimedTicks>,
+) -> Result<ReachabilityGraph, ReachError> {
+    check_deterministic(net)?;
+    let _span = obs::span("build");
+    let places = net.place_count();
+    let mut store = StateStore::with_config(places, &options.pager_config());
+    let initial_env = store.intern_env(net.initial_env())?;
+    let sem = Semantics {
+        net,
+        compiled: compile(net),
+        programs: bc::CompiledNet::compile(net).map_err(ReachError::Compile)?,
+        ticks,
+    };
+    let mut sc = Scratch::new(places);
+    sc.arm_initial(&sem, &store, initial_env)?;
+    store.intern(
+        net.initial_marking().as_slice(),
+        initial_env,
+        &[],
+        &sc.next_enabling,
+    )?;
+    let mut edges = PagedEdges::new(
+        store.seg_states(),
+        store.pager_shared(),
+        options.spill_dir.clone(),
+    );
+    match options.effective_jobs() {
+        1 => drive_committed(&sem, sc, &mut store, &mut edges, options)?,
+        jobs => drive_levels(&sem, jobs, &mut store, &mut edges, options)?,
     }
+    debug_assert_eq!(edges.row_count(), store.len(), "one edge row per state");
+    // Final squeeze back under budget (a no-op unless the last appends
+    // left the arenas over); also the "seal" phase boundary for the
+    // span hierarchy.
+    let _seal = obs::span("seal");
+    store.maintain()?;
+    Ok(ReachabilityGraph { store, edges })
 }
 
-/// A fresh [`Scratch`] whose `next_enabling` holds the initial state's
-/// armed enabling clocks (empty for untimed builds): the simulator
-/// refreshes its clocks before the first step, so every initially ready
-/// transition starts with a full countdown. Shared by the sequential
-/// and parallel builders so their initial states can never diverge.
-fn arm_initial(
-    net: &Net,
-    compiled: &[Compiled],
-    programs: &bc::CompiledNet,
-    ticks: Option<&TimedTicks>,
-    store: &StateStore,
-    initial_env: u32,
-) -> Result<Scratch, ReachError> {
-    let mut scratch = Scratch::new(net.place_count());
-    if let Some(ticks) = ticks {
-        let mut slots = bc::EnvSlots::new();
-        slots.load(&programs.map, store.env(initial_env));
-        let mut vm = bc::Scratch::new();
-        scratch
-            .next_marking
-            .copy_from_slice(net.initial_marking().as_slice());
-        scratch.compute_next_enabling(net, compiled, programs, ticks, &slots, &mut vm, None, 0)?;
-    }
-    Ok(scratch)
-}
-
-/// Shared exploration machinery for the sequential timed and untimed
-/// builds: the store, the paged CSR edge arena, the compiled
-/// transitions, and the scratch buffers.
-struct Explorer {
-    max_states: usize,
-    compiled: Vec<Compiled>,
-    /// Bytecode programs for every transition expression, compiled once
-    /// against the net's slot map.
-    programs: bc::CompiledNet,
-    store: StateStore,
-    /// The paged edge arena, attached to the store's budget ledger.
-    edges: PagedEdges,
-    /// The successor row of the state under expansion, flushed into
-    /// `edges` by [`Self::end_row`] (edge rows seal/spill on the state
-    /// grain, so they are appended whole).
-    row: Vec<Edge>,
-    scratch: Scratch,
-    /// Slot-form environment of the state under expansion.
-    cur_slots: bc::EnvSlots,
-    /// Slot-form successor environment (after an action).
-    next_slots: bc::EnvSlots,
-    /// Which interned env id `cur_slots` holds: consecutive states
-    /// usually share an environment, so reloads are skipped.
-    loaded_env: Option<u32>,
-    /// Bytecode register file, shared by every program.
-    vm: bc::Scratch,
-}
-
-impl Explorer {
-    fn new(
-        net: &Net,
-        options: &ReachOptions,
-        ticks: Option<&TimedTicks>,
-    ) -> Result<Self, ReachError> {
-        let places = net.place_count();
-        let mut store = StateStore::with_config(places, &options.pager_config());
-        let initial_env = store.intern_env(net.initial_env())?;
-        let initial = net.initial_marking();
-        let compiled = compile(net);
-        let programs = bc::CompiledNet::compile(net).map_err(ReachError::Compile)?;
-        let scratch = arm_initial(net, &compiled, &programs, ticks, &store, initial_env)?;
-        store.intern(initial.as_slice(), initial_env, &[], &scratch.next_enabling)?;
-        let edges = PagedEdges::new(
-            store.seg_states(),
-            store.pager_shared(),
-            options.spill_dir.clone(),
-        );
-        Ok(Explorer {
+/// The jobs = 1 driver: expand each state in place, interning its
+/// successors straight into the store. States are discovered in
+/// breadth-first order and numbered densely, so the frontier is simply
+/// "indices not yet scanned", and a level watermark recovers the
+/// boundaries the level builder barriers on.
+fn drive_committed(
+    sem: &Semantics<'_>,
+    mut sc: Scratch,
+    store: &mut StateStore,
+    edges: &mut PagedEdges,
+    options: &ReachOptions,
+) -> Result<(), ReachError> {
+    let mut row: Vec<Edge> = Vec::new();
+    let (mut level_start, mut level_end, mut levels) = (0usize, 1usize, 0u64);
+    let mut src = 0;
+    while src < store.len() {
+        // Loading may fault `src`'s segment back in; evicting right away
+        // keeps the resident envelope at most one segment above the
+        // budget between interns.
+        let env_id = sc.load(sem, store, src)?;
+        store.maintain()?;
+        row.clear();
+        let mut committed = Committed {
+            store: &mut *store,
             max_states: options.max_states,
-            compiled,
-            programs,
-            store,
-            edges,
-            row: Vec::new(),
-            scratch,
-            cur_slots: bc::EnvSlots::new(),
-            next_slots: bc::EnvSlots::new(),
-            loaded_env: None,
-            vm: bc::Scratch::new(),
-        })
-    }
-
-    /// Load state `cur` into the scratch copies and open its CSR row.
-    /// Loading may fault `cur`'s segment back in; the follow-up
-    /// `maintain` evicts back under budget so the resident envelope
-    /// stays at most one segment above it between interns.
-    fn load(&mut self, cur: usize) -> Result<u32, ReachError> {
-        self.row.clear();
-        let env = self.scratch.load(&self.store, cur)?;
-        self.store.maintain()?;
-        if self.loaded_env != Some(env) {
-            self.cur_slots.load(&self.programs.map, self.store.env(env));
-            self.loaded_env = Some(env);
+        };
+        sc.expand(sem, &mut committed, src, env_id, &mut row)
+            .map_err(|(_, e)| e)?;
+        // The edge arena evicts itself back under budget per row.
+        edges.push_row(&row)?;
+        src += 1;
+        if src == level_end {
+            levels += 1;
+            note_level(store, levels, level_end - level_start, options.mem_budget);
+            level_start = level_end;
+            level_end = store.len();
         }
-        Ok(env)
     }
-
-    /// Environment after `ti`'s action: runs the compiled action over
-    /// `next_slots` (starting from the current state's slots) and
-    /// interns the result. The common actionless path reuses the
-    /// interned id without touching the environment at all.
-    fn next_env(&mut self, net: &Net, ti: usize, env_id: u32) -> Result<u32, ReachError> {
-        if !self.compiled[ti].has_action {
-            return Ok(env_id);
-        }
-        let t = net.transition(self.compiled[ti].id);
-        let prog = self.programs.transitions[ti]
-            .action
-            .as_ref()
-            .expect("has_action");
-        self.next_slots.copy_from(&self.cur_slots);
-        prog.apply_pure(&mut self.next_slots, &self.programs.map, &mut self.vm)
-            .map_err(|e| eval_err(t, e))?;
-        let env = self.next_slots.to_env(&self.programs.map);
-        self.store.intern_env(&env)
-    }
-
-    /// Intern the scratch successor and record an edge to it. The state
-    /// cap is enforced *before* interning, so a [`ReachError::StateLimit`]
-    /// leaves the store with exactly `max_states` states.
-    fn link(&mut self, label: EdgeLabel, env_id: u32) -> Result<(), ReachError> {
-        let (target, _) = self.store.intern_bounded(
-            &self.scratch.next_marking,
-            self.scratch.next_hash,
-            env_id,
-            &self.scratch.next_inflight,
-            &self.scratch.next_enabling,
-            self.max_states,
-        )?;
-        self.row.push((label, target as u32));
-        Ok(())
-    }
-
-    /// Flush the finished successor row of the scanned state into the
-    /// paged edge arena (its own `&mut` point: the arena evicts itself
-    /// back under budget per row).
-    fn end_row(&mut self) -> Result<(), ReachError> {
-        self.edges.push_row(&self.row)
-    }
-
-    fn finish(mut self) -> Result<ReachabilityGraph, ReachError> {
-        debug_assert_eq!(
-            self.edges.row_count(),
-            self.store.len(),
-            "one edge row per state"
-        );
-        // Final squeeze back under budget (a no-op unless the last
-        // appends left the arenas over); also the "seal" phase boundary
-        // for the span hierarchy.
-        let _seal = obs::span("seal");
-        self.store.maintain()?;
-        Ok(ReachabilityGraph {
-            store: self.store,
-            edges: self.edges,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel level-synchronous exploration
-// ---------------------------------------------------------------------------
-
-/// An edge target as seen during a parallel level: either a state the
-/// committed store already holds, or a packed pending id into the
-/// level's shards (rewritten to a dense index at the barrier).
-#[derive(Debug, Clone, Copy)]
-enum RawTarget {
-    Committed(u32),
-    Pending(u32),
+    Ok(())
 }
 
 /// Per-source edge rows produced by one worker chunk, in source order.
 type Rows = Vec<Vec<(EdgeLabel, RawTarget)>>;
 
-/// Everything a worker needs, shared read-only across the pool (the
-/// pending shards carry their own lock stripes).
-struct WorkerCtx<'a> {
-    net: &'a Net,
-    compiled: &'a [Compiled],
-    /// Compiled bytecode programs, shared read-only by all workers.
-    programs: &'a bc::CompiledNet,
-    store: &'a StateStore,
-    shards: &'a [Mutex<PendingShard>],
-    /// `Some` for timed builds: constant firing and enabling delays per
-    /// transition.
-    ticks: Option<&'a TimedTicks>,
-}
-
-/// The discovery key of the `seq`-th edge out of state `src`: the
-/// position of that edge in the sequential build's traversal order.
-/// Pending states and environments are committed in ascending key order
-/// at the level barrier, which is what makes the parallel build
-/// bit-identical to the sequential one.
-fn discovery_key(src: usize, seq: usize) -> u64 {
-    ((src as u64) << 32) | seq as u64
-}
-
-/// Resolve the environment of the successor under construction: reuse
-/// the source's committed id on the (common) actionless path, otherwise
-/// run the compiled action over `next_slots` (starting from the
-/// current state's `cur_slots`) and intern the result — into the
-/// committed table if the content is already known, into a pending
-/// shard otherwise. On the action path `next_slots` holds the
-/// post-action environment afterwards, so the timed builder resolves
-/// delays and predicates against it without re-deriving it per state.
-#[allow(clippy::too_many_arguments)] // per-worker scratch threads through
-fn next_env_ref(
-    ctx: &WorkerCtx<'_>,
-    ct: &Compiled,
-    ti: usize,
-    env_id: u32,
-    cur_slots: &bc::EnvSlots,
-    next_slots: &mut bc::EnvSlots,
-    vm: &mut bc::Scratch,
-    key: u64,
-) -> Result<EnvRef, ReachError> {
-    if !ct.has_action {
-        return Ok(EnvRef::Committed(env_id));
-    }
-    let t = ctx.net.transition(ct.id);
-    let prog = ctx.programs.transitions[ti]
-        .action
-        .as_ref()
-        .expect("has_action");
-    next_slots.copy_from(cur_slots);
-    prog.apply_pure(next_slots, &ctx.programs.map, vm)
-        .map_err(|e| eval_err(t, e))?;
-    let env = next_slots.to_env(&ctx.programs.map);
-    let hash = store::fx_hash_of(&env);
-    if let Some(id) = ctx.store.find_env_hashed(&env, hash) {
-        return Ok(EnvRef::Committed(id));
-    }
-    let shard = store::shard_index(hash, ctx.shards.len());
-    let mut sh = ctx.shards[shard].lock().expect("env shard lock");
-    let id = sh.intern_env(&env, hash, key)?;
-    drop(sh);
-    Ok(EnvRef::Pending(id))
-}
-
-/// Intern the scratch successor: a committed-table hit resolves to its
-/// dense index immediately; a miss lands in the pending shard selected
-/// by the top bits of its hash.
-fn intern_target(
-    ctx: &WorkerCtx<'_>,
-    sc: &Scratch,
-    env_ref: EnvRef,
-    key: u64,
-) -> Result<RawTarget, ReachError> {
-    if let EnvRef::Committed(e) = env_ref {
-        if let Some(i) = ctx.store.find_state_hashed(
-            &sc.next_marking,
-            sc.next_hash,
-            e,
-            &sc.next_inflight,
-            &sc.next_enabling,
-        )? {
-            return Ok(RawTarget::Committed(i));
-        }
-    }
-    let hash =
-        store::pending_state_hash(sc.next_hash, env_ref, &sc.next_inflight, &sc.next_enabling);
-    let shard = store::shard_index(hash, ctx.shards.len());
-    let mut sh = ctx.shards[shard].lock().expect("state shard lock");
-    sh.intern_state(
-        &sc.next_marking,
-        sc.next_hash,
-        hash,
-        env_ref,
-        &sc.next_inflight,
-        &sc.next_enabling,
-        key,
-    )
-    .map(RawTarget::Pending)
-}
-
-/// Expand one contiguous chunk of the frontier, producing the edge rows
-/// of every source in order. Mirrors the sequential loops of
-/// [`build_untimed`]/[`build_timed`] exactly — same transition order,
-/// same cap/predicate gating, same advance-edge placement — so the edge
-/// lists concatenate to the sequential CSR. Errors carry the discovery
-/// key of the edge that raised them so the barrier can report the one
-/// the sequential build would have hit first.
+/// Expand one contiguous chunk of a level, producing the edge rows of
+/// every source in order.
 fn explore_chunk(
-    ctx: &WorkerCtx<'_>,
-    chunk: std::ops::Range<usize>,
+    sem: &Semantics<'_>,
+    mut pending: Pending<'_>,
+    chunk: Range<usize>,
 ) -> Result<Rows, (u64, ReachError)> {
-    let mut sc = Scratch::new(ctx.store.places());
-    let mut cur_slots = bc::EnvSlots::new();
-    let mut next_slots = bc::EnvSlots::new();
-    let mut vm = bc::Scratch::new();
-    let mut loaded_env: Option<u32> = None;
+    let mut sc = Scratch::new(sem.net.place_count());
     let mut rows = Vec::with_capacity(chunk.len());
     for src in chunk {
         let env_id = sc
-            .load(ctx.store, src)
+            .load(sem, pending.store, src)
             .map_err(|e| (discovery_key(src, 0), e))?;
-        if loaded_env != Some(env_id) {
-            cur_slots.load(&ctx.programs.map, ctx.store.env(env_id));
-            loaded_env = Some(env_id);
-        }
-        let mut row: Vec<(EdgeLabel, RawTarget)> = Vec::new();
-        let mut can_start = false;
-        for (ti, ct) in ctx.compiled.iter().enumerate() {
-            if !sc.enabled(ct) {
-                continue;
-            }
-            let key = discovery_key(src, row.len());
-            if ctx.ticks.is_some() {
-                if let Some(cap) = ct.cap {
-                    let inflight =
-                        sc.cur_inflight.iter().filter(|&&(x, _)| x == ct.id).count() as u32;
-                    if inflight >= cap {
-                        continue;
-                    }
-                }
-                // Enabling gate: a transition whose enabling clock is
-                // still counting down cannot start. (Ready transitions
-                // with a pending delay — constant or per-state
-                // expression — always carry a clock entry; a missing
-                // entry means the resolved delay was 0.)
-                if sc.cur_enabling.iter().any(|&(x, k)| x == ct.id && k > 0) {
-                    continue;
-                }
-            }
-            if ct.has_predicate
-                && !predicate_holds(ctx.net, ctx.programs, ti, ct, &cur_slots, &mut vm)
-                    .map_err(|e| (key, e))?
-            {
-                continue;
-            }
-            can_start = true;
-            // The successor environment is resolved first (the action
-            // runs before the firing delay, as in the simulator and the
-            // sequential explorer above).
-            let env_ref = next_env_ref(
-                ctx,
-                ct,
-                ti,
-                env_id,
-                &cur_slots,
-                &mut next_slots,
-                &mut vm,
-                key,
-            )
-            .map_err(|e| (key, e))?;
-            match ctx.ticks {
-                None => {
-                    sc.fire(ctx.net, ct, true).map_err(|e| (key, e))?;
-                    sc.next_inflight.clear();
-                    sc.next_enabling.clear();
-                }
-                Some(ticks) => {
-                    // The post-action environment already sits in
-                    // `next_slots`; actionless firings keep the
-                    // current slots.
-                    let slots = if ct.has_action {
-                        &next_slots
-                    } else {
-                        &cur_slots
-                    };
-                    let ft = firing_delay(ctx.net, ctx.programs, ticks, ti, ct.id, slots, &mut vm)
-                        .map_err(|e| (key, e))?;
-                    sc.fire(ctx.net, ct, ft == 0).map_err(|e| (key, e))?;
-                    sc.next_inflight.clear();
-                    let (next, cur) = (&mut sc.next_inflight, &sc.cur_inflight);
-                    next.extend_from_slice(cur);
-                    if ft != 0 {
-                        sc.next_inflight.push((ct.id, ft));
-                        sc.next_inflight.sort_unstable();
-                    }
-                    sc.compute_next_enabling(
-                        ctx.net,
-                        ctx.compiled,
-                        ctx.programs,
-                        ticks,
-                        slots,
-                        &mut vm,
-                        Some(ct.id),
-                        0,
-                    )
-                    .map_err(|e| (key, e))?;
-                }
-            }
-            let target = intern_target(ctx, &sc, env_ref, key).map_err(|e| (key, e))?;
-            row.push((EdgeLabel::Fire(ct.id), target));
-        }
-
-        // Maximal-progress time advance: only when nothing can start and
-        // something is pending (a completion or an enabling deadline).
-        if let Some(ticks) = ctx.ticks {
-            if !(can_start || (sc.cur_inflight.is_empty() && sc.cur_enabling.is_empty())) {
-                let key = discovery_key(src, row.len());
-                let dt = sc
-                    .cur_inflight
-                    .iter()
-                    .chain(sc.cur_enabling.iter())
-                    .map(|&(_, r)| r)
-                    .min()
-                    .expect("non-empty");
-                sc.begin_next();
-                sc.next_inflight.clear();
-                for i in 0..sc.cur_inflight.len() {
-                    let (tid, r) = sc.cur_inflight[i];
-                    if r == dt {
-                        sc.deliver_outputs(ctx.net.transition(tid))
-                            .map_err(|e| (key, e))?;
-                    } else {
-                        sc.next_inflight.push((tid, r - dt));
-                    }
-                }
-                sc.next_inflight.sort_unstable();
-                sc.compute_next_enabling(
-                    ctx.net,
-                    ctx.compiled,
-                    ctx.programs,
-                    ticks,
-                    &cur_slots,
-                    &mut vm,
-                    None,
-                    dt,
-                )
-                .map_err(|e| (key, e))?;
-                let target = intern_target(ctx, &sc, EnvRef::Committed(env_id), key)
-                    .map_err(|e| (key, e))?;
-                row.push((EdgeLabel::Advance(dt), target));
-            }
-        }
+        let mut row = Vec::new();
+        sc.expand(sem, &mut pending, src, env_id, &mut row)?;
         rows.push(row);
     }
     Ok(rows)
@@ -1424,7 +1455,7 @@ fn explore_chunk(
 
 /// Split `level` into at most `jobs` contiguous chunks of near-equal
 /// size, in frontier order.
-fn split_chunks(level: std::ops::Range<usize>, jobs: usize) -> Vec<std::ops::Range<usize>> {
+fn split_chunks(level: Range<usize>, jobs: usize) -> Vec<Range<usize>> {
     let n = level.len();
     let per = n.div_ceil(jobs);
     (0..jobs)
@@ -1442,92 +1473,37 @@ fn split_chunks(level: std::ops::Range<usize>, jobs: usize) -> Vec<std::ops::Ran
 /// chunk), which keeps shallow prefixes and tails cheap.
 const SPAWN_THRESHOLD_PER_JOB: usize = 48;
 
-/// Per-level observability, shared by the sequential and parallel
-/// builders (the sequential loops recover the same level boundaries
-/// with a watermark, so both emit identical level metrics — the builds
-/// are bit-identical). `level` is 1-based and `width` is the state
-/// count of the level just completed. The heartbeat line is built from
-/// deterministic quantities only, so a fixed run configuration always
-/// prints the same lines.
-fn note_level(store: &StateStore, level: u64, width: usize, budget: usize) {
-    obs::metrics::REACH_LEVELS.inc();
-    obs::metrics::REACH_FRONTIER_WIDTH.record(width as u64);
-    obs::metrics::REACH_PEAK_FRONTIER.set_max(width as u64);
-    obs::heartbeat(level, || {
-        format!(
-            "reach level {level}: {} states, frontier {width}, resident {} / {}, faults {}",
-            store.len(),
-            obs::bytes::format_bytes(store.resident_arena_bytes() as u64),
-            obs::bytes::format_bytes(budget as u64),
-            obs::metrics::PAGER_FAULTS.get(),
-        )
-    });
-}
-
-/// Level-synchronous parallel construction (untimed when `ticks` is
-/// `None`, timed otherwise). See [`crate::store`] for the sharding
-/// and barrier design; the result is bit-identical to the sequential
-/// build for every job count.
-fn build_parallel(
-    net: &Net,
+/// The level-synchronous driver for `jobs` ≥ 2 workers. See
+/// [`crate::store`] for the sharding and barrier design.
+fn drive_levels(
+    sem: &Semantics<'_>,
+    jobs: usize,
+    store: &mut StateStore,
+    edges: &mut PagedEdges,
     options: &ReachOptions,
-    ticks: Option<TimedTicks>,
-) -> Result<ReachabilityGraph, ReachError> {
-    let _span = obs::span("build");
-    let jobs = options.effective_jobs();
-    let places = net.place_count();
-    let mut store = StateStore::with_config(places, &options.pager_config());
-    let initial_env = store.intern_env(net.initial_env())?;
-    let compiled = compile(net);
-    let programs = bc::CompiledNet::compile(net).map_err(ReachError::Compile)?;
-    let init = arm_initial(
-        net,
-        &compiled,
-        &programs,
-        ticks.as_ref(),
-        &store,
-        initial_env,
-    )?;
-    store.intern(
-        net.initial_marking().as_slice(),
-        initial_env,
-        &[],
-        &init.next_enabling,
-    )?;
+) -> Result<(), ReachError> {
     let shard_count = (jobs * 4).next_power_of_two().min(64);
     let mut shards: Vec<Mutex<PendingShard>> = (0..shard_count)
-        .map(|s| Mutex::new(PendingShard::new(s, places)))
+        .map(|s| Mutex::new(PendingShard::new(s, store.places())))
         .collect();
-    let mut edges = PagedEdges::new(
-        store.seg_states(),
-        store.pager_shared(),
-        options.spill_dir.clone(),
-    );
     let mut rewritten: Vec<Edge> = Vec::new();
     let mut level = 0..1;
     let mut levels = 0u64;
 
     while !level.is_empty() {
-        let ctx = WorkerCtx {
-            net,
-            compiled: &compiled,
-            programs: &programs,
-            store: &store,
+        let pending = Pending {
+            store: &*store,
             shards: &shards,
-            ticks: ticks.as_ref(),
         };
         let results: Vec<Result<Rows, (u64, ReachError)>> =
             if level.len() < jobs.max(2) * SPAWN_THRESHOLD_PER_JOB {
-                vec![explore_chunk(&ctx, level.clone())]
+                vec![explore_chunk(sem, pending, level.clone())]
             } else {
                 let chunks = split_chunks(level.clone(), jobs);
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = chunks
                         .into_iter()
-                        .map(|chunk| {
-                            let ctx = &ctx;
-                            scope.spawn(move || explore_chunk(ctx, chunk))
-                        })
+                        .map(|chunk| scope.spawn(move || explore_chunk(sem, pending, chunk)))
                         .collect();
                     handles
                         .into_iter()
@@ -1550,14 +1526,14 @@ fn build_parallel(
         let novel = store::collect_novel_states(&shard_refs);
         let base = store.len();
         if !novel.is_empty() && base + novel.len() > options.max_states {
-            // The sequential build errors at the first novel state that
+            // The jobs = 1 driver errors at the first novel state that
             // does not fit — and never errors without an intern attempt,
             // hence the emptiness guard (a deadlocked initial state
-            // builds fine even with `max_states` 0, matching sequential).
-            // Report StateLimit only if that key precedes the earliest
-            // worker error. (`saturating_sub` covers the degenerate
-            // `max_states < base` case — only reachable with a cap below
-            // the always-admitted initial state — where the first novel
+            // builds fine even with `max_states` 0). Report StateLimit
+            // only if that key precedes the earliest worker error.
+            // (`saturating_sub` covers the degenerate `max_states <
+            // base` case — only reachable with a cap below the
+            // always-admitted initial state — where the first novel
             // state is already over the cap.)
             let limit_key = novel[options.max_states.saturating_sub(base)].0;
             if min_err.is_none_or(|&(k, _)| limit_key < k) {
@@ -1595,13 +1571,10 @@ fn build_parallel(
         // before the next level.
         store.maintain()?;
         levels += 1;
-        note_level(&store, levels, level.len(), options.mem_budget);
+        note_level(store, levels, level.len(), options.mem_budget);
         level = base..store.len();
     }
-    debug_assert_eq!(edges.row_count(), store.len(), "one edge row per state");
-    let _seal = obs::span("seal");
-    store.maintain()?;
-    Ok(ReachabilityGraph { store, edges })
+    Ok(())
 }
 
 /// Build the untimed (classical occurrence semantics) reachability
@@ -1612,60 +1585,7 @@ fn build_parallel(
 /// See [`ReachError`]; most commonly [`ReachError::StateLimit`] for
 /// unbounded nets.
 pub fn build_untimed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGraph, ReachError> {
-    check_deterministic(net)?;
-    if options.effective_jobs() > 1 {
-        return build_parallel(net, options, None);
-    }
-    let _span = obs::span("build");
-    let mut ex = Explorer::new(net, options, None)?;
-    let mut cur = 0;
-    // Level watermark: when `cur` reaches it, a full BFS level has been
-    // scanned — the exact boundary the parallel build barriers on.
-    let mut level_start = 0usize;
-    let mut level_end = 1usize;
-    let mut levels = 0u64;
-    // States are discovered in BFS order and numbered densely, so the
-    // frontier is simply "indices not yet scanned" — no queue needed.
-    while cur < ex.store.len() {
-        let env_id = ex.load(cur)?;
-        for ti in 0..ex.compiled.len() {
-            if !ex.scratch.enabled(&ex.compiled[ti]) {
-                continue;
-            }
-            if ex.compiled[ti].has_predicate
-                && !predicate_holds(
-                    net,
-                    &ex.programs,
-                    ti,
-                    &ex.compiled[ti],
-                    &ex.cur_slots,
-                    &mut ex.vm,
-                )?
-            {
-                continue;
-            }
-            ex.scratch.fire(net, &ex.compiled[ti], true)?;
-            ex.scratch.next_inflight.clear();
-            ex.scratch.next_enabling.clear();
-            let next_env = ex.next_env(net, ti, env_id)?;
-            let label = EdgeLabel::Fire(ex.compiled[ti].id);
-            ex.link(label, next_env)?;
-        }
-        ex.end_row()?;
-        cur += 1;
-        if cur == level_end {
-            levels += 1;
-            note_level(
-                &ex.store,
-                levels,
-                level_end - level_start,
-                options.mem_budget,
-            );
-            level_start = level_end;
-            level_end = ex.store.len();
-        }
-    }
-    ex.finish()
+    build(net, options, None)
 }
 
 /// Build the timed reachability graph: states extend the `[RP84]` pair
@@ -1693,168 +1613,7 @@ pub fn build_untimed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGr
 ///
 /// See [`ReachError`].
 pub fn build_timed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGraph, ReachError> {
-    check_deterministic(net)?;
-    let mut firing = Vec::with_capacity(net.transition_count());
-    let mut enabling = Vec::with_capacity(net.transition_count());
-    for (_, t) in net.transitions() {
-        match t.enabling_time() {
-            pnut_core::Delay::Fixed(ticks) => enabling.push(Some(*ticks)),
-            pnut_core::Delay::Expr(_) => enabling.push(None),
-        }
-        match t.firing_time() {
-            pnut_core::Delay::Fixed(ticks) => firing.push(Some(*ticks)),
-            pnut_core::Delay::Expr(_) => firing.push(None),
-        }
-    }
-    let ticks = TimedTicks { firing, enabling };
-
-    if options.effective_jobs() > 1 {
-        return build_parallel(net, options, Some(ticks));
-    }
-    let _span = obs::span("build");
-    let mut ex = Explorer::new(net, options, Some(&ticks))?;
-    let mut cur = 0;
-    // Same level watermark as the untimed loop (see `note_level`).
-    let mut level_start = 0usize;
-    let mut level_end = 1usize;
-    let mut levels = 0u64;
-    while cur < ex.store.len() {
-        let env_id = ex.load(cur)?;
-        let mut can_start = false;
-        #[allow(clippy::needless_range_loop)] // `ti` indexes `ex.compiled` too
-        for ti in 0..ex.compiled.len() {
-            if !ex.scratch.enabled(&ex.compiled[ti]) {
-                continue;
-            }
-            let tid = ex.compiled[ti].id;
-            if let Some(cap) = ex.compiled[ti].cap {
-                let inflight = ex
-                    .scratch
-                    .cur_inflight
-                    .iter()
-                    .filter(|&&(x, _)| x == tid)
-                    .count() as u32;
-                if inflight >= cap {
-                    continue;
-                }
-            }
-            // Enabling gate: a transition whose enabling clock is still
-            // counting down cannot start. (Ready transitions with a
-            // pending delay always carry a clock entry — the successor
-            // construction maintains that invariant — so a missing
-            // entry means the resolved delay was 0.)
-            if ex
-                .scratch
-                .cur_enabling
-                .iter()
-                .any(|&(x, k)| x == tid && k > 0)
-            {
-                continue;
-            }
-            if ex.compiled[ti].has_predicate
-                && !predicate_holds(
-                    net,
-                    &ex.programs,
-                    ti,
-                    &ex.compiled[ti],
-                    &ex.cur_slots,
-                    &mut ex.vm,
-                )?
-            {
-                continue;
-            }
-            can_start = true;
-            // The environment (and with it any table-driven firing
-            // delay) is resolved before the token movement: the action
-            // runs first, exactly as in the simulator. On the action
-            // path `next_slots` holds the post-action environment
-            // afterwards, so delay resolution and the enabling refresh
-            // reuse it instead of re-deriving it from the store.
-            let next_env = ex.next_env(net, ti, env_id)?;
-            let slots = if ex.compiled[ti].has_action {
-                &ex.next_slots
-            } else {
-                &ex.cur_slots
-            };
-            let ft = firing_delay(net, &ex.programs, &ticks, ti, tid, slots, &mut ex.vm)?;
-            // Zero-delay firings are atomic: outputs appear immediately
-            // and the in-flight multiset is unchanged.
-            ex.scratch.fire(net, &ex.compiled[ti], ft == 0)?;
-            ex.scratch.next_inflight.clear();
-            let (next, cur) = (&mut ex.scratch.next_inflight, &ex.scratch.cur_inflight);
-            next.extend_from_slice(cur);
-            if ft != 0 {
-                ex.scratch.next_inflight.push((tid, ft));
-                ex.scratch.next_inflight.sort_unstable();
-            }
-            ex.scratch.compute_next_enabling(
-                net,
-                &ex.compiled,
-                &ex.programs,
-                &ticks,
-                slots,
-                &mut ex.vm,
-                Some(tid),
-                0,
-            )?;
-            ex.link(EdgeLabel::Fire(tid), next_env)?;
-        }
-
-        // Maximal-progress time advance: only when nothing can start and
-        // something is pending — an in-flight completion or an enabling
-        // deadline (when nothing can start, every enabling countdown is
-        // positive, so `dt` is always > 0).
-        if !(can_start
-            || (ex.scratch.cur_inflight.is_empty() && ex.scratch.cur_enabling.is_empty()))
-        {
-            let dt = ex
-                .scratch
-                .cur_inflight
-                .iter()
-                .chain(ex.scratch.cur_enabling.iter())
-                .map(|&(_, r)| r)
-                .min()
-                .expect("non-empty");
-            debug_assert!(dt > 0, "zero advance would loop forever");
-            ex.scratch.begin_next();
-            ex.scratch.next_inflight.clear();
-            for i in 0..ex.scratch.cur_inflight.len() {
-                let (tid, r) = ex.scratch.cur_inflight[i];
-                if r == dt {
-                    ex.scratch.deliver_outputs(net.transition(tid))?;
-                } else {
-                    ex.scratch.next_inflight.push((tid, r - dt));
-                }
-            }
-            ex.scratch.next_inflight.sort_unstable();
-            ex.scratch.compute_next_enabling(
-                net,
-                &ex.compiled,
-                &ex.programs,
-                &ticks,
-                &ex.cur_slots,
-                &mut ex.vm,
-                None,
-                dt,
-            )?;
-            ex.link(EdgeLabel::Advance(dt), env_id)?;
-        }
-        ex.end_row()?;
-        cur += 1;
-        if cur == level_end {
-            levels += 1;
-            note_level(
-                &ex.store,
-                levels,
-                level_end - level_start,
-                options.mem_budget,
-            );
-            level_start = level_end;
-            level_end = ex.store.len();
-        }
-    }
-    let _ = Time::ZERO; // Time is part of the public vocabulary via labels.
-    ex.finish()
+    build(net, options, Some(TimedTicks::new(net)))
 }
 
 #[cfg(test)]

@@ -90,7 +90,7 @@
 //! points ([`Paged::maintain`] — called after every append, at every
 //! parallel level barrier, and between segments of an analysis sweep),
 //! so within one parallel level the resident set may transiently exceed
-//! the budget by the segments the level faults in. Sequentially the
+//! the budget by the segments the level faults in. At one job the
 //! envelope is tight: at most one faulted segment pair (states + edges)
 //! above budget at any instant (asserted by the golden tests and the
 //! `tests/paged_analysis.rs` harness).

@@ -51,9 +51,17 @@
 //! plus 12 bytes of table entry — roughly half of what the doubled
 //! owned-key layout used, before counting its per-state heap headers.
 //!
+//! # Two interners, one expansion
+//!
+//! [`crate::graph`] generates successors in one place and hands each
+//! one to an interner. At one job it is [`StateStore::intern_bounded`]:
+//! successors go straight into the committed arenas in breadth-first
+//! discovery order, with the state cap checked before each append. At
+//! two or more jobs it is the pending path below.
+//!
 //! # Parallel levels: sharding and the barrier splice
 //!
-//! The parallel builder in [`crate::graph`] explores breadth-first one
+//! The level builder in [`crate::graph`] explores breadth-first one
 //! *level* at a time: the committed store above is frozen (shared
 //! read-only — probes are plain `&self` loads, no atomics) while a
 //! scoped worker pool scans disjoint chunks of the frontier. Successors
@@ -70,11 +78,11 @@
 //! pending state carries the discovery key `(source index, edge seq)`
 //! of the edge that produced it, shards min-reduce that key per entry,
 //! and [`StateStore::splice_level`] commits the level's novel states in
-//! ascending key order — exactly the order the sequential build first
+//! ascending key order — exactly the order the one-job build first
 //! interns them. Environments created by transition actions get the
 //! identical treatment (pending env sub-tables, min-key, committed at
 //! the barrier before the states that reference them). The result is a
-//! graph **bit-identical** to the sequential build at any worker count.
+//! graph **bit-identical** to the one-job build at any worker count.
 //!
 //! # Paging: how the arenas scale past RAM
 //!
@@ -98,7 +106,7 @@
 //! load-only-under-`&self` safety argument). Eviction happens at `&mut`
 //! points (every append and every level barrier), so the resident set
 //! tracks the budget with at most one faulted segment of slack in the
-//! sequential build. Environments are deduplicated and stay resident.
+//! one-job build. Environments are deduplicated and stay resident.
 //!
 //! The paged store is **bit-identical** to the unbounded in-memory
 //! build at any budget: paging changes where rows live, never what they
@@ -549,7 +557,7 @@ impl StateStore {
 
     /// Arena bytes of the largest sealed state segment — the
     /// granularity of the budget envelope (`resident ≤ budget + one
-    /// segment` at the sequential build's `&mut` points).
+    /// segment` at the one-job build's `&mut` points).
     pub fn max_segment_bytes(&self) -> usize {
         self.states.max_segment_bytes()
     }
@@ -1048,7 +1056,7 @@ impl PendingShard {
 }
 
 /// All novel states of a level as sorted `(discovery key, packed id)`
-/// pairs — ascending key order **is** the order the sequential build
+/// pairs — ascending key order **is** the order the one-job build
 /// would first intern them.
 pub(crate) fn collect_novel_states(shards: &[&mut PendingShard]) -> Vec<(u64, u32)> {
     let mut novel: Vec<(u64, u32)> = shards
@@ -1068,7 +1076,7 @@ impl StateStore {
     /// Commit one parallel level: intern the pending environments, then
     /// the pending states (`novel`, already sorted by discovery key —
     /// see [`collect_novel_states`]), into the committed arenas in
-    /// sequential-build order, and reset the shards for the next level.
+    /// one-job-build order, and reset the shards for the next level.
     ///
     /// Returns the per-shard map from local pending index to final dense
     /// state index, for edge-target rewriting.

@@ -405,3 +405,79 @@ fn rebuilds_are_deterministic_on_the_paper_models() {
     let b = build_timed(&timed_fragment(3), &options).expect("second build");
     assert_eq!(a, b, "timed rebuild differs");
 }
+
+/// Build `src` untimed and timed at jobs {1, 2, 4} × budget {∞, 64 KiB}
+/// and return the one error every configuration must agree on.
+fn same_error_everywhere(src: &str) -> pnut::reach::graph::ReachError {
+    let net = pnut::lang::parse(src).expect("parses");
+    let reference = build_untimed(&net, &with_jobs(1)).expect_err("the build fails");
+    for timed in [false, true] {
+        for jobs in [1, 2, 4] {
+            for budget in [usize::MAX, TINY_BUDGET] {
+                let options = with_budget(jobs, budget);
+                let e = if timed {
+                    build_timed(&net, &options)
+                } else {
+                    build_untimed(&net, &options)
+                }
+                .expect_err("the build fails");
+                assert_eq!(
+                    e, reference,
+                    "timed = {timed}, jobs = {jobs}, budget = {budget}"
+                );
+            }
+        }
+    }
+    reference
+}
+
+#[test]
+fn the_action_runs_before_the_token_movement_at_every_job_count() {
+    // Firing `t` would overflow `p`, but its action fails first: the
+    // action runs before the tokens move (as in the simulator), so every
+    // build reports the division by zero, never the overflow.
+    let e = same_error_everywhere(
+        "net order\n\
+         var z = 0\n\
+         var x = 1\n\
+         place q = 1\n\
+         place p = 4294967295\n\
+         trans t\n  in q\n  out p\n  act x = x / z;\nend\n",
+    );
+    assert_eq!(
+        e,
+        pnut::reach::graph::ReachError::Eval {
+            transition: "t".into(),
+            source: pnut_core::EvalError::DivisionByZero,
+        }
+    );
+}
+
+#[test]
+fn an_eval_error_deep_in_the_build_reports_the_earliest_discovery() {
+    // Ten independent cells; switching one on bumps a counter and reads
+    // `tab[n]`, which runs out of range on the fifth cell. Every source
+    // of the 210-state fourth level fails, each on the first off cell
+    // it can switch, and the level is wide enough to be split across
+    // workers. The reported error must be the one met first in
+    // breadth-first order, at any job count and budget.
+    let mut src = String::from("net deep\nvar n = 0\nvar y = 0\ntable tab = 0 1 2 3 4\n");
+    for i in 0..10 {
+        src += &format!("place off{i} = 1\nplace on{i} = 0\n");
+        src +=
+            &format!("trans up{i}\n  in off{i}\n  out on{i}\n  act n = n + 1; y = tab[n];\nend\n");
+        src += &format!("trans down{i}\n  in on{i}\n  out off{i}\n  act n = n - 1;\nend\n");
+    }
+    let e = same_error_everywhere(&src);
+    assert_eq!(
+        e,
+        pnut::reach::graph::ReachError::Eval {
+            transition: "up4".into(),
+            source: pnut_core::EvalError::IndexOutOfBounds {
+                table: "tab".into(),
+                index: 5,
+                len: 5,
+            },
+        }
+    );
+}
