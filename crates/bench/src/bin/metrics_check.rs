@@ -20,8 +20,10 @@
 //! 4. the catalogue invariants hold: `pager.faults ==
 //!    pager.fault_failures + pager.reloads`, `store.probes >=
 //!    store.hits`, histogram bucket counts sum to `count`;
-//! 5. every `--require-nonzero NAME` metric is > 0 (used to pin that
-//!    the 64 KiB golden run really paged).
+//! 5. every `--require-nonzero NAME` metric is > 0 — a counter or gauge
+//!    by its value, a histogram by its `count` (used to pin that the
+//!    64 KiB golden run really paged, and that a `--jobs 2` run really
+//!    split a level across workers).
 //!
 //! The format is machine-written, so a tolerant hand parser beats
 //! dragging in a JSON dependency (same stance as `bench_diff`).
@@ -74,7 +76,8 @@ fn bucket_count_sum(line: &str) -> Option<u64> {
 struct Seen {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, u64)>,
-    hists: Vec<String>,
+    /// `(name, count)` per histogram.
+    hists: Vec<(String, u64)>,
     spans: usize,
 }
 
@@ -181,7 +184,7 @@ fn main() -> ExitCode {
                     }
                     None => return fail(&format!("line {lineno}: hist has no buckets: {line}")),
                 }
-                seen.hists.push(name.to_string());
+                seen.hists.push((name.to_string(), count));
             }
             "span" => {
                 let (Some(_), Some(start), Some(_)) = (
@@ -216,7 +219,9 @@ fn main() -> ExitCode {
                 n,
                 seen.gauges.iter().filter(|(s, _)| s == n).count(),
             ),
-            Metric::Histogram(n, _) => ("hist", n, seen.hists.iter().filter(|s| *s == n).count()),
+            Metric::Histogram(n, _) => {
+                ("hist", n, seen.hists.iter().filter(|(s, _)| s == n).count())
+            }
         };
         if found != 1 {
             return fail(&format!(
@@ -229,7 +234,7 @@ fn main() -> ExitCode {
             Metric::Counter(n, _) | Metric::Gauge(n, _) | Metric::Histogram(n, _) => n == name,
         })
     };
-    for (name, _) in seen.counters.iter().chain(&seen.gauges) {
+    for (name, _) in seen.counters.iter().chain(&seen.gauges).chain(&seen.hists) {
         if !registry_has(name) {
             return fail(&format!("`{name}` is not in the pnut_obs registry"));
         }
@@ -254,6 +259,7 @@ fn main() -> ExitCode {
             .counters
             .iter()
             .chain(&seen.gauges)
+            .chain(&seen.hists)
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v);
         match value {

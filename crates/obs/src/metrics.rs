@@ -197,8 +197,8 @@ pub static STORE_PROBES: Counter = Counter::new();
 pub static STORE_HITS: Counter = Counter::new();
 /// New states appended to the arenas (`== distinct states`).
 pub static STORE_MISSES: Counter = Counter::new();
-/// States spliced from pending shards at parallel level barriers,
-/// bucketed by per-shard splice size.
+/// States committed from worker buffers at spawned level barriers,
+/// bucketed by per-worker commit size.
 pub static STORE_SPLICE_STATES: Histogram = Histogram::new();
 
 // --- reach: breadth-first exploration --------------------------------

@@ -27,8 +27,7 @@
 //! asserted by `tests/paged_analysis.rs`.
 
 use crate::pager::{EdgeSegment, PagedEdges, PagerConfig, SegmentData, SpillError};
-use crate::store::{self, EnvRef, MarkingView, PendingShard, StateRef, StateStore};
-use crate::sync::Mutex;
+use crate::store::{self, EnvRef, LevelBuffer, MarkingView, StateRef, StateStore};
 use pnut_core::expr::compile as bc;
 use pnut_core::{Net, Transition, TransitionId};
 use pnut_obs as obs;
@@ -43,11 +42,12 @@ pub struct ReachOptions {
     pub max_states: usize,
     /// Worker threads for frontier exploration: `0` uses
     /// [`std::thread::available_parallelism`], anything else is an
-    /// explicit thread count. Every job count runs the same successor
-    /// generator and produces a bit-identical graph (see
+    /// explicit thread count. Every job count runs the same
+    /// breadth-first level loop and produces a bit-identical graph (see
     /// [`crate::store`] for how the level barrier guarantees it), so
-    /// this is purely a throughput knob: `1` interns each successor in
-    /// place, more build level by level.
+    /// this is purely a throughput knob: it only decides which levels
+    /// are wide enough to split across workers. At `1` none is, and
+    /// every successor is interned in place.
     pub jobs: usize,
     /// Resident byte budget for the state arenas; cold level segments
     /// beyond it spill to a temp file and are reloaded on demand (see
@@ -802,8 +802,8 @@ fn count_of(set: &[(TransitionId, u64)], id: TransitionId) -> u32 {
     set.iter().filter(|&&(x, _)| x == id).count() as u32
 }
 
-/// Where the successor expansion interns what it discovers. The two
-/// build drivers share [`Scratch::expand`] and differ only here.
+/// Where the successor expansion interns what it discovers. One-chunk
+/// and split levels share [`Scratch::expand`] and differ only here.
 trait Intern {
     /// An interned successor environment.
     type Env: Copy;
@@ -811,14 +811,13 @@ trait Intern {
     type Target;
     /// The handle of an environment the committed store already holds.
     fn committed_env(id: u32) -> Self::Env;
-    /// Intern a post-action environment first met at discovery `key`.
-    fn env(&mut self, env: &pnut_core::expr::Env, key: u64) -> Result<Self::Env, ReachError>;
+    /// Intern a post-action environment.
+    fn env(&mut self, env: &pnut_core::expr::Env) -> Result<Self::Env, ReachError>;
     /// Intern the successor under construction in `sc`.
-    fn state(&mut self, sc: &Scratch, env: Self::Env, key: u64)
-        -> Result<Self::Target, ReachError>;
+    fn state(&mut self, sc: &Scratch, env: Self::Env) -> Result<Self::Target, ReachError>;
 }
 
-/// The jobs = 1 interner: successors go straight into the store, and
+/// The one-chunk interner: successors go straight into the store, and
 /// the state cap is enforced *at intern time*, so a
 /// [`ReachError::StateLimit`] leaves the store with exactly
 /// `max_states` states.
@@ -835,11 +834,11 @@ impl Intern for Committed<'_> {
         id
     }
 
-    fn env(&mut self, env: &pnut_core::expr::Env, _key: u64) -> Result<u32, ReachError> {
+    fn env(&mut self, env: &pnut_core::expr::Env) -> Result<u32, ReachError> {
         self.store.intern_env(env)
     }
 
-    fn state(&mut self, sc: &Scratch, env: u32, _key: u64) -> Result<u32, ReachError> {
+    fn state(&mut self, sc: &Scratch, env: u32) -> Result<u32, ReachError> {
         let (target, _) = self.store.intern_bounded(
             &sc.next_marking,
             sc.next_hash,
@@ -852,26 +851,23 @@ impl Intern for Committed<'_> {
     }
 }
 
-/// An edge target as seen during a level: either a state the committed
-/// store already holds, or a packed pending id into the level's shards
-/// (rewritten to a dense index at the barrier).
+/// An edge target as seen during a split level: either a state the
+/// committed store already holds, or a local id into the worker's
+/// [`LevelBuffer`] (rewritten to a dense index at the barrier).
 #[derive(Debug, Clone, Copy)]
 enum RawTarget {
     Committed(u32),
     Pending(u32),
 }
 
-/// The level workers' interner: probe the frozen committed store, and
-/// fall back to the lock-striped pending shard selected by the top bits
-/// of the hash. Pending entries remember the smallest discovery key
-/// that reached them and are numbered at the level barrier.
-#[derive(Clone, Copy)]
-struct Pending<'a> {
+/// A split-level worker's interner: probe the frozen committed store,
+/// and buffer misses in the worker's own [`LevelBuffer`].
+struct Buffered<'a> {
     store: &'a StateStore,
-    shards: &'a [Mutex<PendingShard>],
+    buffer: &'a mut LevelBuffer,
 }
 
-impl Intern for Pending<'_> {
+impl Intern for Buffered<'_> {
     type Env = EnvRef;
     type Target = RawTarget;
 
@@ -879,17 +875,15 @@ impl Intern for Pending<'_> {
         EnvRef::Committed(id)
     }
 
-    fn env(&mut self, env: &pnut_core::expr::Env, key: u64) -> Result<EnvRef, ReachError> {
+    fn env(&mut self, env: &pnut_core::expr::Env) -> Result<EnvRef, ReachError> {
         let hash = store::fx_hash_of(env);
         if let Some(id) = self.store.find_env_hashed(env, hash) {
             return Ok(EnvRef::Committed(id));
         }
-        let shard = store::shard_index(hash, self.shards.len());
-        let mut sh = self.shards[shard].lock().expect("env shard lock");
-        sh.intern_env(env, hash, key).map(EnvRef::Pending)
+        self.buffer.intern_env(env, hash).map(EnvRef::Pending)
     }
 
-    fn state(&mut self, sc: &Scratch, env: EnvRef, key: u64) -> Result<RawTarget, ReachError> {
+    fn state(&mut self, sc: &Scratch, env: EnvRef) -> Result<RawTarget, ReachError> {
         if let EnvRef::Committed(e) = env {
             if let Some(i) = self.store.find_state_hashed(
                 &sc.next_marking,
@@ -901,28 +895,23 @@ impl Intern for Pending<'_> {
                 return Ok(RawTarget::Committed(i));
             }
         }
-        let hash =
-            store::pending_state_hash(sc.next_hash, env, &sc.next_inflight, &sc.next_enabling);
-        let shard = store::shard_index(hash, self.shards.len());
-        let mut sh = self.shards[shard].lock().expect("state shard lock");
-        sh.intern_state(
-            &sc.next_marking,
-            sc.next_hash,
-            hash,
-            env,
-            &sc.next_inflight,
-            &sc.next_enabling,
-            key,
-        )
-        .map(RawTarget::Pending)
+        self.buffer
+            .intern_state(
+                &sc.next_marking,
+                sc.next_hash,
+                env,
+                &sc.next_inflight,
+                &sc.next_enabling,
+            )
+            .map(RawTarget::Pending)
     }
 }
 
 /// Reusable per-worker scratch: one copy of the state under expansion
 /// and one successor under construction, plus the slot-form
 /// environments and register file the compiled programs run on, so
-/// successor generation is allocation-free on the steady state. Every
-/// worker of either build driver owns one.
+/// successor generation is allocation-free on the steady state. The
+/// inline levels share one; every split-level worker owns its own.
 struct Scratch {
     /// Copy of the current state's marking (stable while the store grows).
     cur_marking: Vec<u32>,
@@ -1053,24 +1042,21 @@ impl Scratch {
         })
     }
 
-    /// Expand the loaded state `src` (environment `env_id`), appending
-    /// its successor row to `row`. Every transition that can start —
+    /// Expand the loaded state (environment `env_id`), appending its
+    /// successor row to `row`. Every transition that can start —
     /// marking-enabled; for timed builds also under its concurrency cap
     /// with no enabling clock still counting down; predicate true — gets
     /// a `Fire` edge, in transition-id order; then, in timed builds, the
     /// maximal-progress `Advance` edge. This is the one successor
-    /// generator: both build drivers call it, so every job count and
-    /// budget shares one semantics. Errors carry the discovery key of
-    /// the edge that raised them, so the level barrier can report the
-    /// one met first in breadth-first order.
+    /// generator: every level calls it, so every job count and budget
+    /// shares one semantics.
     fn expand<I: Intern>(
         &mut self,
         sem: &Semantics<'_>,
         intern: &mut I,
-        src: usize,
         env_id: u32,
         row: &mut Vec<(EdgeLabel, I::Target)>,
-    ) -> Result<(), (u64, ReachError)> {
+    ) -> Result<(), ReachError> {
         let mut can_start = false;
         for (ti, ct) in sem.compiled.iter().enumerate() {
             if !self.enabled(ct) {
@@ -1089,18 +1075,11 @@ impl Scratch {
             {
                 continue;
             }
-            let key = discovery_key(src, row.len());
-            if ct.has_predicate
-                && !sem
-                    .predicate_holds(ti, ct, &self.cur_slots, &mut self.vm)
-                    .map_err(|e| (key, e))?
-            {
+            if ct.has_predicate && !sem.predicate_holds(ti, ct, &self.cur_slots, &mut self.vm)? {
                 continue;
             }
             can_start = true;
-            let target = self
-                .start(sem, intern, ti, ct, env_id, key)
-                .map_err(|e| (key, e))?;
+            let target = self.start(sem, intern, ti, ct, env_id)?;
             row.push((EdgeLabel::Fire(ct.id), target));
         }
 
@@ -1120,10 +1099,7 @@ impl Scratch {
             };
             if let Some(dt) = dt {
                 debug_assert!(dt > 0, "zero advance would loop forever");
-                let key = discovery_key(src, row.len());
-                let target = self
-                    .advance(sem, ticks, intern, env_id, dt, key)
-                    .map_err(|e| (key, e))?;
+                let target = self.advance(sem, ticks, intern, env_id, dt)?;
                 row.push((EdgeLabel::Advance(dt), target));
             }
         }
@@ -1142,7 +1118,6 @@ impl Scratch {
         ti: usize,
         ct: &Compiled,
         env_id: u32,
-        key: u64,
     ) -> Result<I::Target, ReachError> {
         let (env, acted) = match &sem.programs.transitions[ti].action {
             None => (I::committed_env(env_id), false),
@@ -1151,7 +1126,7 @@ impl Scratch {
                 prog.apply_pure(&mut self.next_slots, &sem.programs.map, &mut self.vm)
                     .map_err(|e| eval_err(sem.net.transition(ct.id), e))?;
                 let env = self.next_slots.to_env(&sem.programs.map);
-                (intern.env(&env, key)?, true)
+                (intern.env(&env)?, true)
             }
         };
         match &sem.ticks {
@@ -1183,7 +1158,7 @@ impl Scratch {
                 self.compute_next_enabling(sem, ticks, acted, Some(ct.id), 0)?;
             }
         }
-        intern.state(self, env, key)
+        intern.state(self, env)
     }
 
     /// Let `dt` ticks pass and intern the successor: firings whose
@@ -1196,7 +1171,6 @@ impl Scratch {
         intern: &mut I,
         env_id: u32,
         dt: u64,
-        key: u64,
     ) -> Result<I::Target, ReachError> {
         self.begin_next();
         self.next_inflight.clear();
@@ -1210,7 +1184,7 @@ impl Scratch {
         }
         self.next_inflight.sort_unstable();
         self.compute_next_enabling(sem, ticks, false, None, dt)?;
-        intern.state(self, I::committed_env(env_id), key)
+        intern.state(self, I::committed_env(env_id))
     }
 
     /// Recompute the enabling-clock multiset of the successor under
@@ -1311,21 +1285,11 @@ impl Scratch {
     }
 }
 
-/// The discovery key of the `seq`-th edge out of state `src`: the
-/// position of that edge in breadth-first order, which is the order the
-/// jobs = 1 driver meets it. Pending states and environments are
-/// committed in ascending key order at the level barrier, which is what
-/// makes every job count build the same graph.
-fn discovery_key(src: usize, seq: usize) -> u64 {
-    ((src as u64) << 32) | seq as u64
-}
-
-/// Per-level observability, shared by both build drivers (the jobs = 1
-/// driver recovers the level boundaries with a watermark, so both emit
-/// identical level metrics — the builds are bit-identical). `level` is
-/// 1-based and `width` is the state count of the level just completed.
-/// The heartbeat line is built from deterministic quantities only, so a
-/// fixed run configuration always prints the same lines.
+/// Per-level observability. `level` is 1-based and `width` is the state
+/// count of the level just completed; levels are the same at every job
+/// count, so so are these metrics. The heartbeat line is built from
+/// deterministic quantities only, so a fixed run configuration always
+/// prints the same lines.
 fn note_level(store: &StateStore, level: u64, width: usize, budget: usize) {
     obs::metrics::REACH_LEVELS.inc();
     obs::metrics::REACH_FRONTIER_WIDTH.record(width as u64);
@@ -1342,11 +1306,8 @@ fn note_level(store: &StateStore, level: u64, width: usize, budget: usize) {
 }
 
 /// Build the reachability graph (untimed when `ticks` is `None`, timed
-/// otherwise). Both drivers run the same [`Scratch::expand`] and
-/// produce bit-identical graphs; the job count only picks the faster
-/// one. One job expands each state in place and interns straight into
-/// the store, with no pending shards or barrier splice to pay for.
-/// Several jobs build level-synchronously (see [`crate::store`]).
+/// otherwise): intern the initial state, then let [`drive_levels`]
+/// explore the rest.
 fn build(
     net: &Net,
     options: &ReachOptions,
@@ -1376,10 +1337,7 @@ fn build(
         store.pager_shared(),
         options.spill_dir.clone(),
     );
-    match options.effective_jobs() {
-        1 => drive_committed(&sem, sc, &mut store, &mut edges, options)?,
-        jobs => drive_levels(&sem, jobs, &mut store, &mut edges, options)?,
-    }
+    drive_levels(&sem, sc, &mut store, &mut edges, options)?;
     debug_assert_eq!(edges.row_count(), store.len(), "one edge row per state");
     // Final squeeze back under budget (a no-op unless the last appends
     // left the arenas over); also the "seal" phase boundary for the
@@ -1389,22 +1347,53 @@ fn build(
     Ok(ReachabilityGraph { store, edges })
 }
 
-/// The jobs = 1 driver: expand each state in place, interning its
-/// successors straight into the store. States are discovered in
-/// breadth-first order and numbered densely, so the frontier is simply
-/// "indices not yet scanned", and a level watermark recovers the
-/// boundaries the level builder barriers on.
-fn drive_committed(
+/// The level driver: explore breadth-first, one level at a time,
+/// starting from the initial state. Every level runs the same
+/// [`Scratch::expand`]; the job count only decides which levels are
+/// split across workers, and the graph is bit-identical either way (see
+/// [`crate::store`]). `sc` is the scratch the inline levels share.
+fn drive_levels(
     sem: &Semantics<'_>,
     mut sc: Scratch,
     store: &mut StateStore,
     edges: &mut PagedEdges,
     options: &ReachOptions,
 ) -> Result<(), ReachError> {
+    let (jobs, max_states) = (options.effective_jobs(), options.max_states);
+    let mut level = 0..1;
+    let mut levels = 0u64;
+    while !level.is_empty() {
+        if jobs == 1 || level.len() < jobs * SPAWN_THRESHOLD_PER_JOB {
+            expand_inline(sem, &mut sc, store, edges, level.clone(), max_states)?;
+        } else {
+            expand_split(sem, jobs, store, edges, level.clone(), max_states)?;
+        }
+        levels += 1;
+        note_level(store, levels, level.len(), options.mem_budget);
+        level = level.end..store.len();
+    }
+    Ok(())
+}
+
+/// At two or more jobs, a level narrower than `jobs ×
+/// SPAWN_THRESHOLD_PER_JOB` states runs inline as one chunk, as every
+/// level does at one job: spawning would cost more than it saves, and
+/// interning in place needs no buffers or barrier commit.
+const SPAWN_THRESHOLD_PER_JOB: usize = 48;
+
+/// Expand a one-chunk level in place: each successor is interned
+/// straight into the store (appending to the next level), and each row
+/// is appended as its source finishes.
+fn expand_inline(
+    sem: &Semantics<'_>,
+    sc: &mut Scratch,
+    store: &mut StateStore,
+    edges: &mut PagedEdges,
+    level: Range<usize>,
+    max_states: usize,
+) -> Result<(), ReachError> {
     let mut row: Vec<Edge> = Vec::new();
-    let (mut level_start, mut level_end, mut levels) = (0usize, 1usize, 0u64);
-    let mut src = 0;
-    while src < store.len() {
+    for src in level {
         // Loading may fault `src`'s segment back in; evicting right away
         // keeps the resident envelope at most one segment above the
         // budget between interns.
@@ -1413,44 +1402,53 @@ fn drive_committed(
         row.clear();
         let mut committed = Committed {
             store: &mut *store,
-            max_states: options.max_states,
+            max_states,
         };
-        sc.expand(sem, &mut committed, src, env_id, &mut row)
-            .map_err(|(_, e)| e)?;
+        sc.expand(sem, &mut committed, env_id, &mut row)?;
         // The edge arena evicts itself back under budget per row.
         edges.push_row(&row)?;
-        src += 1;
-        if src == level_end {
-            levels += 1;
-            note_level(store, levels, level_end - level_start, options.mem_budget);
-            level_start = level_end;
-            level_end = store.len();
-        }
     }
     Ok(())
 }
 
-/// Per-source edge rows produced by one worker chunk, in source order.
-type Rows = Vec<Vec<(EdgeLabel, RawTarget)>>;
+/// What one worker of a split level hands to the barrier.
+struct ChunkOutput {
+    /// The states and environments it found that the committed store
+    /// lacks.
+    buffer: LevelBuffer,
+    /// The edge rows of its sources, concatenated in source order.
+    targets: Vec<(EdgeLabel, RawTarget)>,
+    /// Where each source's row ends in `targets`.
+    row_ends: Vec<usize>,
+    /// The first error, which stopped the worker.
+    error: Option<ReachError>,
+}
 
-/// Expand one contiguous chunk of a level, producing the edge rows of
-/// every source in order.
-fn explore_chunk(
-    sem: &Semantics<'_>,
-    mut pending: Pending<'_>,
-    chunk: Range<usize>,
-) -> Result<Rows, (u64, ReachError)> {
+/// Expand one contiguous chunk of a split level against the frozen
+/// store, stopping at the first error.
+fn explore_chunk(sem: &Semantics<'_>, store: &StateStore, chunk: Range<usize>) -> ChunkOutput {
     let mut sc = Scratch::new(sem.net.place_count());
-    let mut rows = Vec::with_capacity(chunk.len());
+    let mut out = ChunkOutput {
+        buffer: LevelBuffer::new(store.places()),
+        targets: Vec::new(),
+        row_ends: Vec::with_capacity(chunk.len()),
+        error: None,
+    };
     for src in chunk {
-        let env_id = sc
-            .load(sem, pending.store, src)
-            .map_err(|e| (discovery_key(src, 0), e))?;
-        let mut row = Vec::new();
-        sc.expand(sem, &mut pending, src, env_id, &mut row)?;
-        rows.push(row);
+        let mut buffered = Buffered {
+            store,
+            buffer: &mut out.buffer,
+        };
+        let expanded = sc
+            .load(sem, store, src)
+            .and_then(|env_id| sc.expand(sem, &mut buffered, env_id, &mut out.targets));
+        if let Err(e) = expanded {
+            out.error = Some(e);
+            break;
+        }
+        out.row_ends.push(out.targets.len());
     }
-    Ok(rows)
+    out
 }
 
 /// Split `level` into at most `jobs` contiguous chunks of near-equal
@@ -1468,113 +1466,51 @@ fn split_chunks(level: Range<usize>, jobs: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Don't spawn threads for frontiers too small to amortize the spawn
-/// cost; the level is explored inline instead (same code path, one
-/// chunk), which keeps shallow prefixes and tails cheap.
-const SPAWN_THRESHOLD_PER_JOB: usize = 48;
-
-/// The level-synchronous driver for `jobs` ≥ 2 workers. See
-/// [`crate::store`] for the sharding and barrier design.
-fn drive_levels(
+/// Expand a level across `jobs` scoped workers, then commit their
+/// buffers and rows at the barrier, in worker order (see
+/// [`crate::store`] for why that order is the one-chunk order).
+fn expand_split(
     sem: &Semantics<'_>,
     jobs: usize,
     store: &mut StateStore,
     edges: &mut PagedEdges,
-    options: &ReachOptions,
+    level: Range<usize>,
+    max_states: usize,
 ) -> Result<(), ReachError> {
-    let shard_count = (jobs * 4).next_power_of_two().min(64);
-    let mut shards: Vec<Mutex<PendingShard>> = (0..shard_count)
-        .map(|s| Mutex::new(PendingShard::new(s, store.places())))
-        .collect();
-    let mut rewritten: Vec<Edge> = Vec::new();
-    let mut level = 0..1;
-    let mut levels = 0u64;
-
-    while !level.is_empty() {
-        let pending = Pending {
-            store: &*store,
-            shards: &shards,
-        };
-        let results: Vec<Result<Rows, (u64, ReachError)>> =
-            if level.len() < jobs.max(2) * SPAWN_THRESHOLD_PER_JOB {
-                vec![explore_chunk(sem, pending, level.clone())]
-            } else {
-                let chunks = split_chunks(level.clone(), jobs);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| scope.spawn(move || explore_chunk(sem, pending, chunk)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker thread panicked"))
-                        .collect()
-                })
-            };
-
-        // Barrier. Everything below is single-threaded and ordered by
-        // discovery key, so it is deterministic regardless of how the
-        // workers interleaved.
-        let min_err: Option<&(u64, ReachError)> = results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .min_by_key(|(k, _)| *k);
-        let mut shard_refs: Vec<&mut PendingShard> = shards
-            .iter_mut()
-            .map(|m| m.get_mut().expect("shard lock"))
+    let frozen = &*store;
+    let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
+        let handles: Vec<_> = split_chunks(level, jobs)
+            .into_iter()
+            .map(|chunk| scope.spawn(move || explore_chunk(sem, frozen, chunk)))
             .collect();
-        let novel = store::collect_novel_states(&shard_refs);
-        let base = store.len();
-        if !novel.is_empty() && base + novel.len() > options.max_states {
-            // The jobs = 1 driver errors at the first novel state that
-            // does not fit — and never errors without an intern attempt,
-            // hence the emptiness guard (a deadlocked initial state
-            // builds fine even with `max_states` 0). Report StateLimit
-            // only if that key precedes the earliest worker error.
-            // (`saturating_sub` covers the degenerate `max_states <
-            // base` case — only reachable with a cap below the
-            // always-admitted initial state — where the first novel
-            // state is already over the cap.)
-            let limit_key = novel[options.max_states.saturating_sub(base)].0;
-            if min_err.is_none_or(|&(k, _)| limit_key < k) {
-                return Err(ReachError::StateLimit {
-                    limit: options.max_states,
-                });
-            }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    });
+    let mut row: Vec<Edge> = Vec::new();
+    for out in outputs {
+        let state_map = store.commit_buffer(&out.buffer, max_states)?;
+        if let Some(e) = out.error {
+            return Err(e);
         }
-        if let Some((_, e)) = min_err {
-            return Err(e.clone());
+        let mut start = 0;
+        for &end in &out.row_ends {
+            row.clear();
+            row.extend(out.targets[start..end].iter().map(|&(label, target)| {
+                let target = match target {
+                    RawTarget::Committed(i) => i,
+                    RawTarget::Pending(p) => state_map[p as usize],
+                };
+                (label, target)
+            }));
+            edges.push_row(&row)?;
+            start = end;
         }
-        let state_map = store.splice_level(&mut shard_refs, &novel)?;
-
-        // Append this level's CSR rows in source order (worker chunks
-        // are contiguous and ordered), rewriting pending targets to
-        // their dense indices. `push_row` evicts the edge arena back
-        // under budget as segments seal.
-        for rows in results {
-            for row in rows.expect("worker errors handled above") {
-                rewritten.clear();
-                rewritten.extend(row.into_iter().map(|(label, target)| {
-                    let target = match target {
-                        RawTarget::Committed(i) => i,
-                        RawTarget::Pending(p) => {
-                            state_map[store::pending_shard(p)][store::pending_local(p)]
-                        }
-                    };
-                    (label, target)
-                }));
-                edges.push_row(&rewritten)?;
-            }
-        }
-        // Level barrier: workers may have faulted cold state segments
-        // in (read-only loads cannot evict); squeeze back under budget
-        // before the next level.
-        store.maintain()?;
-        levels += 1;
-        note_level(store, levels, level.len(), options.mem_budget);
-        level = base..store.len();
     }
-    Ok(())
+    // Workers may have faulted cold state segments in (read-only loads
+    // cannot evict); squeeze back under budget before the next level.
+    store.maintain()
 }
 
 /// Build the untimed (classical occurrence semantics) reachability
@@ -2130,8 +2066,8 @@ mod tests {
 
     /// A net whose levels are wide in *environments*: two independent
     /// bounded counters, so level `L` holds every `(a, b)` with
-    /// `a + b = L` and each level mints several environments at once —
-    /// exactly the case the pending-env min-key ordering must get right.
+    /// `a + b = L` and each level mints several environments at once,
+    /// which every job count must number in the same order.
     fn env_grid() -> Net {
         let mut b = NetBuilder::new("grid");
         b.place("p", 1);

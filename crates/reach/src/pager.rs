@@ -88,11 +88,12 @@
 //!
 //! The cost of that bargain: the resident set can only shrink at `&mut`
 //! points ([`Paged::maintain`] — called after every append, at every
-//! parallel level barrier, and between segments of an analysis sweep),
-//! so within one parallel level the resident set may transiently exceed
-//! the budget by the segments the level faults in. At one job the
-//! envelope is tight: at most one faulted segment pair (states + edges)
-//! above budget at any instant (asserted by the golden tests and the
+//! split level's barrier, and between segments of an analysis sweep),
+//! so within a level split across workers the resident set may
+//! transiently exceed the budget by the segments the level faults in.
+//! In one-chunk levels (every level at one job) the envelope is tight:
+//! at most one faulted segment pair (states + edges) above budget at
+//! any instant (asserted by the golden tests and the
 //! `tests/paged_analysis.rs` harness).
 //!
 //! All spill-file I/O reports [`ReachError::Spill`]; the only panicking

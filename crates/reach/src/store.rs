@@ -51,38 +51,35 @@
 //! plus 12 bytes of table entry — roughly half of what the doubled
 //! owned-key layout used, before counting its per-state heap headers.
 //!
-//! # Two interners, one expansion
+//! # Levels: interning in place, or in per-worker buffers
 //!
-//! [`crate::graph`] generates successors in one place and hands each
-//! one to an interner. At one job it is [`StateStore::intern_bounded`]:
-//! successors go straight into the committed arenas in breadth-first
-//! discovery order, with the state cap checked before each append. At
-//! two or more jobs it is the pending path below.
+//! [`crate::graph`] generates successors in one place and builds the
+//! graph breadth-first, one *level* at a time. How a level interns what
+//! it discovers depends only on whether it is split into chunks:
 //!
-//! # Parallel levels: sharding and the barrier splice
+//! * **One chunk** (every level at one job, and levels too narrow to be
+//!   worth spawning for): successors go straight into the committed
+//!   arenas through [`StateStore::intern_bounded`], in breadth-first
+//!   discovery order, with the state cap checked before each append.
+//! * **Several chunks**: the committed store above is frozen (shared
+//!   read-only — probes are plain `&self` loads, no atomics) while a
+//!   scoped worker pool scans contiguous, in-order chunks of the
+//!   frontier. Each worker owns a [`LevelBuffer`] — the same
+//!   open-addressing scheme over its own small arenas — holding the
+//!   successors (and action-minted environments) that missed the
+//!   committed table, deduplicated, in the order the worker first met
+//!   them. Workers share nothing mutable, so nothing is locked.
 //!
-//! The level builder in [`crate::graph`] explores breadth-first one
-//! *level* at a time: the committed store above is frozen (shared
-//! read-only — probes are plain `&self` loads, no atomics) while a
-//! scoped worker pool scans disjoint chunks of the frontier. Successors
-//! that miss the committed table land in a ring of [`PendingShard`]s —
-//! the same open-addressing scheme, lock-striped, with a shard picked by
-//! the **top bits** of the precomputed FxHash (the low bits index
-//! buckets *within* a table, so top-bit sharding keeps both selections
-//! independent). Each shard owns its own marking/in-flight/environment
-//! segment; the inserting worker copies the state in under the shard
-//! lock so other workers can probe it for duplicates immediately.
-//!
-//! Wall-clock insertion order under contention is racy, so dense state
-//! numbering is deferred to the **level barrier**: every reference to a
-//! pending state carries the discovery key `(source index, edge seq)`
-//! of the edge that produced it, shards min-reduce that key per entry,
-//! and [`StateStore::splice_level`] commits the level's novel states in
-//! ascending key order — exactly the order the one-job build first
-//! interns them. Environments created by transition actions get the
-//! identical treatment (pending env sub-tables, min-key, committed at
-//! the barrier before the states that reference them). The result is a
-//! graph **bit-identical** to the one-job build at any worker count.
+//! At the level barrier [`StateStore::commit_buffer`] interns the
+//! buffers in worker order, environments before states, through the
+//! same capped `intern_bounded`. Every source of chunk `w` precedes
+//! every source of chunk `w + 1`, so this is exactly the order the
+//! one-chunk build first meets each state and environment, and a state
+//! two workers both found is a plain hit for the later buffer. A
+//! worker's error is reported right after its own buffer commits, so a
+//! cap crossed earlier in breadth-first order wins over it, as it does
+//! at one job. The result is a graph **bit-identical** to the one-job
+//! build at any worker count, with no sort and no locks.
 //!
 //! # Paging: how the arenas scale past RAM
 //!
@@ -105,8 +102,8 @@
 //! of the level builder working (see [`crate::pager`] for the
 //! load-only-under-`&self` safety argument). Eviction happens at `&mut`
 //! points (every append and every level barrier), so the resident set
-//! tracks the budget with at most one faulted segment of slack in the
-//! one-job build. Environments are deduplicated and stay resident.
+//! tracks the budget with at most one faulted segment of slack in
+//! one-chunk levels. Environments are deduplicated and stay resident.
 //!
 //! The paged store is **bit-identical** to the unbounded in-memory
 //! build at any budget: paging changes where rows live, never what they
@@ -821,103 +818,38 @@ impl StateStore {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel level shards
+// Split-level buffers
 // ---------------------------------------------------------------------------
 
-/// How a successor refers to its environment during a parallel level:
-/// either an id in the committed store, or a packed pending id in one of
-/// the level's shards (actions can mint environments the committed store
+/// How a successor refers to its environment during a split level:
+/// either an id in the committed store, or a local id into the worker's
+/// [`LevelBuffer`] (actions can mint environments the committed store
 /// has never seen).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EnvRef {
     /// An environment already interned in the committed store.
     Committed(u32),
-    /// A packed `(shard, local)` id into the level's pending shards.
+    /// An environment buffered by this worker during the level.
     Pending(u32),
 }
 
-/// Bits of a packed pending id reserved for the shard-local index; the
-/// remaining high bits carry the shard number.
-const PENDING_LOCAL_BITS: u32 = 26;
-const PENDING_LOCAL_MASK: u32 = (1 << PENDING_LOCAL_BITS) - 1;
-
-/// Pack a `(shard, local)` pending id; errors if the shard segment is
-/// (absurdly) full.
-fn pack_pending(shard: u32, local: usize) -> Result<u32, ReachError> {
-    if local >= (1usize << PENDING_LOCAL_BITS) {
-        return Err(ReachError::CapacityExceeded {
-            resource: "level shard segment (2^26 entries per shard)",
-        });
-    }
-    Ok((shard << PENDING_LOCAL_BITS) | local as u32)
+/// A buffer-local id for the `len`-th entry.
+fn local_id(len: usize) -> Result<u32, ReachError> {
+    u32::try_from(len).map_err(|_| ReachError::CapacityExceeded {
+        resource: "level buffer (more than u32::MAX entries)",
+    })
 }
 
-/// The shard half of a packed pending id.
-pub(crate) fn pending_shard(id: u32) -> usize {
-    (id >> PENDING_LOCAL_BITS) as usize
-}
-
-/// The local-index half of a packed pending id.
-pub(crate) fn pending_local(id: u32) -> usize {
-    (id & PENDING_LOCAL_MASK) as usize
-}
-
-/// Which of `shards` (a power of two) a hash belongs to. Uses the
-/// **top** bits: bucket probing inside a table uses the folded low half,
-/// so shard selection stays independent of probe position.
-pub(crate) fn shard_index(hash: u64, shards: usize) -> usize {
-    debug_assert!(shards.is_power_of_two());
-    let bits = shards.trailing_zeros();
-    if bits == 0 {
-        0
-    } else {
-        (hash >> (64 - bits)) as usize
-    }
-}
-
-/// The pending-table hash of a state whose environment may itself be
-/// pending: the committed-table hash keys on the final env id, which a
-/// pending env does not have yet, so this variant mixes the env
-/// *reference* (tagged) instead. Only ever compared within one level's
-/// pending tables; the committed hash is recomputed at the barrier.
-pub(crate) fn pending_state_hash(
-    marking_hash: u64,
-    env_ref: EnvRef,
-    in_flight: &[(TransitionId, u64)],
-    enabling: &[(TransitionId, u64)],
-) -> u64 {
-    let (tag, id) = match env_ref {
-        EnvRef::Committed(e) => (0u64, e),
-        EnvRef::Pending(p) => (1u64, p),
-    };
-    let mut h = fx_mix(marking_hash, tag);
-    h = fx_mix(h, u64::from(id));
-    h = fx_mix(h, in_flight.len() as u64);
-    for &(t, r) in in_flight {
-        h = fx_mix(h, t.index() as u64);
-        h = fx_mix(h, r);
-    }
-    h = fx_mix(h, enabling.len() as u64);
-    for &(t, r) in enabling {
-        h = fx_mix(h, t.index() as u64);
-        h = fx_mix(h, r);
-    }
-    h
-}
-
-/// One lock stripe of the level-pending intern table: states (and
-/// environments) discovered during the current parallel level that are
-/// not in the committed store yet. Owns its own arena segments so any
-/// worker can probe entries other workers inserted; spliced into the
-/// committed store, in deterministic discovery-key order, at the level
-/// barrier (see the module docs).
+/// One worker's misses during a split level: the states (and the
+/// environments actions minted) that the frozen committed store does
+/// not hold, deduplicated, in first-discovery order. The worker owns
+/// its buffer outright, so nothing is locked; the level barrier commits
+/// the buffers in worker order with [`StateStore::commit_buffer`] (see
+/// the module docs).
 #[derive(Debug)]
-pub(crate) struct PendingShard {
-    shard: u32,
+pub(crate) struct LevelBuffer {
     places: usize,
     state_table: InternTable,
-    /// Min discovery key `(source << 32) | edge_seq` per pending state.
-    state_keys: Vec<u64>,
     markings: Vec<u32>,
     marking_hashes: Vec<u64>,
     env_refs: Vec<EnvRef>,
@@ -926,19 +858,15 @@ pub(crate) struct PendingShard {
     enabling_offsets: Vec<u32>,
     enabling: Vec<(TransitionId, u64)>,
     env_table: InternTable,
-    /// Min discovery key per pending environment.
-    env_keys: Vec<u64>,
     envs: Vec<Env>,
 }
 
-impl PendingShard {
-    /// An empty shard numbered `shard` for markings over `places`.
-    pub(crate) fn new(shard: usize, places: usize) -> Self {
-        PendingShard {
-            shard: shard as u32,
+impl LevelBuffer {
+    /// An empty buffer for markings over `places` places.
+    pub(crate) fn new(places: usize) -> Self {
+        LevelBuffer {
             places,
             state_table: InternTable::with_capacity(16),
-            state_keys: Vec::new(),
             markings: Vec::new(),
             marking_hashes: Vec::new(),
             env_refs: Vec::new(),
@@ -947,7 +875,6 @@ impl PendingShard {
             enabling_offsets: vec![0],
             enabling: Vec::new(),
             env_table: InternTable::with_capacity(4),
-            env_keys: Vec::new(),
             envs: Vec::new(),
         }
     }
@@ -968,56 +895,32 @@ impl PendingShard {
         &self.enabling[self.enabling_offsets[i] as usize..self.enabling_offsets[i + 1] as usize]
     }
 
-    /// Reset for the next level, keeping arena capacity.
-    fn clear(&mut self) {
-        self.state_table = InternTable::with_capacity(self.state_keys.len().max(16));
-        self.state_keys.clear();
-        self.markings.clear();
-        self.marking_hashes.clear();
-        self.env_refs.clear();
-        self.inflight_offsets.clear();
-        self.inflight_offsets.push(0);
-        self.inflight.clear();
-        self.enabling_offsets.clear();
-        self.enabling_offsets.push(0);
-        self.enabling.clear();
-        self.env_table = InternTable::with_capacity(self.env_keys.len().max(4));
-        self.env_keys.clear();
-        self.envs.clear();
-    }
-
-    /// Intern a pending environment under its content hash, min-reducing
-    /// the discovery key on a hit. Returns the packed pending id.
-    pub(crate) fn intern_env(&mut self, env: &Env, hash: u64, key: u64) -> Result<u32, ReachError> {
+    /// Buffer an environment the committed store lacks (`hash` is its
+    /// [`fx_hash_of`]); returns its local id.
+    pub(crate) fn intern_env(&mut self, env: &Env, hash: u64) -> Result<u32, ReachError> {
         if let Some(local) = self.env_table.find(hash, |i| &self.envs[i as usize] == env) {
-            let k = &mut self.env_keys[local as usize];
-            *k = (*k).min(key);
-            return pack_pending(self.shard, local as usize);
+            return Ok(local);
         }
-        let local = self.envs.len();
-        let id = pack_pending(self.shard, local)?;
+        let local = local_id(self.envs.len())?;
         self.envs.push(env.clone());
-        self.env_keys.push(key);
-        self.env_table.insert(hash, local as u32);
-        Ok(id)
+        self.env_table.insert(hash, local);
+        Ok(local)
     }
 
-    /// Intern a pending state under its [`pending_state_hash`],
-    /// min-reducing the discovery key on a hit. The inserting caller
-    /// copies the state into this shard's segments (under the shard
-    /// lock), so concurrent probes from other workers see it.
-    #[allow(clippy::too_many_arguments)] // mirrors the committed intern signature
+    /// Buffer a state the committed store lacks; returns its local id.
+    /// The table keys on the environment *reference*, since a buffered
+    /// environment has no committed id yet.
     pub(crate) fn intern_state(
         &mut self,
         marking: &[u32],
         marking_hash: u64,
-        hash: u64,
         env_ref: EnvRef,
         in_flight: &[(TransitionId, u64)],
         enabling: &[(TransitionId, u64)],
-        key: u64,
     ) -> Result<u32, ReachError> {
         debug_assert_eq!(marking.len(), self.places, "marking width mismatch");
+        let (EnvRef::Committed(id) | EnvRef::Pending(id)) = env_ref;
+        let hash = StateStore::hash_state(marking_hash, id, in_flight, enabling);
         let found = self.state_table.find(hash, |i| {
             let i = i as usize;
             self.env_refs[i] == env_ref
@@ -1026,12 +929,9 @@ impl PendingShard {
                 && self.enabling_slice(i) == enabling
         });
         if let Some(local) = found {
-            let k = &mut self.state_keys[local as usize];
-            *k = (*k).min(key);
-            return pack_pending(self.shard, local as usize);
+            return Ok(local);
         }
-        let local = self.state_count();
-        let id = pack_pending(self.shard, local)?;
+        let local = local_id(self.state_count())?;
         let end = u32::try_from(self.inflight.len() + in_flight.len()).map_err(|_| {
             ReachError::CapacityExceeded {
                 resource: "level in-flight segment (u32 offsets)",
@@ -1049,87 +949,50 @@ impl PendingShard {
         self.inflight_offsets.push(end);
         self.enabling.extend_from_slice(enabling);
         self.enabling_offsets.push(enabling_end);
-        self.state_keys.push(key);
-        self.state_table.insert(hash, local as u32);
-        Ok(id)
+        self.state_table.insert(hash, local);
+        Ok(local)
     }
 }
 
-/// All novel states of a level as sorted `(discovery key, packed id)`
-/// pairs — ascending key order **is** the order the one-job build
-/// would first intern them.
-pub(crate) fn collect_novel_states(shards: &[&mut PendingShard]) -> Vec<(u64, u32)> {
-    let mut novel: Vec<(u64, u32)> = shards
-        .iter()
-        .flat_map(|sh| {
-            sh.state_keys
-                .iter()
-                .enumerate()
-                .map(|(local, &key)| (key, (sh.shard << PENDING_LOCAL_BITS) | local as u32))
-        })
-        .collect();
-    novel.sort_unstable();
-    novel
-}
-
 impl StateStore {
-    /// Commit one parallel level: intern the pending environments, then
-    /// the pending states (`novel`, already sorted by discovery key —
-    /// see [`collect_novel_states`]), into the committed arenas in
-    /// one-job-build order, and reset the shards for the next level.
+    /// Commit one worker's [`LevelBuffer`]: intern its environments,
+    /// then its states, in first-discovery order, admitting new states
+    /// only below `max_states` (so a [`ReachError::StateLimit`] leaves
+    /// exactly `max_states` states). A state or environment an earlier
+    /// buffer already committed is a plain hit.
     ///
-    /// Returns the per-shard map from local pending index to final dense
-    /// state index, for edge-target rewriting.
-    pub(crate) fn splice_level(
+    /// Returns the map from buffer-local state id to dense state index,
+    /// for edge-target rewriting.
+    pub(crate) fn commit_buffer(
         &mut self,
-        shards: &mut [&mut PendingShard],
-        novel: &[(u64, u32)],
-    ) -> Result<Vec<Vec<u32>>, ReachError> {
-        for sh in shards.iter() {
-            if sh.state_count() > 0 {
-                obs::metrics::STORE_SPLICE_STATES.record(sh.state_count() as u64);
-            }
+        buffer: &LevelBuffer,
+        max_states: usize,
+    ) -> Result<Vec<u32>, ReachError> {
+        if buffer.state_count() > 0 {
+            obs::metrics::STORE_SPLICE_STATES.record(buffer.state_count() as u64);
         }
-        let mut env_order: Vec<(u64, u32)> = shards
+        let env_map = buffer
+            .envs
             .iter()
-            .flat_map(|sh| {
-                sh.env_keys
-                    .iter()
-                    .enumerate()
-                    .map(|(local, &key)| (key, (sh.shard << PENDING_LOCAL_BITS) | local as u32))
+            .map(|env| self.intern_env(env))
+            .collect::<Result<Vec<u32>, ReachError>>()?;
+        (0..buffer.state_count())
+            .map(|l| {
+                let env_id = match buffer.env_refs[l] {
+                    EnvRef::Committed(e) => e,
+                    EnvRef::Pending(p) => env_map[p as usize],
+                };
+                let (idx, _) = self.intern_bounded(
+                    buffer.marking_slice(l),
+                    buffer.marking_hashes[l],
+                    env_id,
+                    buffer.inflight_slice(l),
+                    buffer.enabling_slice(l),
+                    max_states,
+                )?;
+                Ok(idx as u32)
             })
-            .collect();
-        env_order.sort_unstable();
-        let mut env_map: Vec<Vec<u32>> = shards.iter().map(|sh| vec![0; sh.envs.len()]).collect();
-        for &(_, packed) in &env_order {
-            let (s, l) = (pending_shard(packed), pending_local(packed));
-            let env = std::mem::take(&mut shards[s].envs[l]);
-            env_map[s][l] = self.intern_env(&env)?;
-        }
-        let mut state_map: Vec<Vec<u32>> =
-            shards.iter().map(|sh| vec![0; sh.state_count()]).collect();
-        for &(_, packed) in novel {
-            let (s, l) = (pending_shard(packed), pending_local(packed));
-            let sh = &*shards[s];
-            let env_id = match sh.env_refs[l] {
-                EnvRef::Committed(e) => e,
-                EnvRef::Pending(p) => env_map[pending_shard(p)][pending_local(p)],
-            };
-            let (idx, new) = self.intern_bounded(
-                sh.marking_slice(l),
-                sh.marking_hashes[l],
-                env_id,
-                sh.inflight_slice(l),
-                sh.enabling_slice(l),
-                usize::MAX,
-            )?;
-            debug_assert!(new, "pending state was already committed");
-            state_map[s][l] = idx as u32;
-        }
-        for sh in shards {
-            sh.clear();
-        }
-        Ok(state_map)
+            .collect()
     }
 }
 
@@ -1392,161 +1255,64 @@ mod tests {
     }
 
     #[test]
-    fn shard_index_uses_top_bits() {
-        assert_eq!(shard_index(u64::MAX, 1), 0);
-        assert_eq!(shard_index(0, 16), 0);
-        assert_eq!(shard_index(u64::MAX, 16), 15);
-        assert_eq!(shard_index(1u64 << 63, 2), 1);
-    }
-
-    #[test]
-    fn splice_orders_novel_states_by_discovery_key() {
-        // Two shards, states inserted in "wrong" wall-clock order with
-        // min-reduced keys; the splice must commit them in key order and
-        // resolve pending environments first.
-        let mut store = StateStore::new(1);
-        let e0 = store.intern_env(&Env::new()).unwrap();
-        store.intern(&[0], e0, &[], &[]).unwrap(); // committed state 0
-        let mut sh0 = PendingShard::new(0, 1);
-        let mut sh1 = PendingShard::new(1, 1);
-
-        let mut env = Env::new();
-        env.set_var("x", Value::Int(9));
-        let eh = fx_hash_of(&env);
-        let pe = sh1.intern_env(&env, eh, 7).unwrap();
-        // The same env re-discovered earlier in sequential order.
-        let pe2 = sh1.intern_env(&env, eh, 3).unwrap();
-        assert_eq!(pe, pe2);
-
+    fn level_buffers_commit_in_worker_order() {
+        // Two workers' buffers over a committed root [0]. Buffer 0 mints
+        // env y then x; buffer 1 meets x first. Both find marking [2]
+        // under x.
+        let fresh = || {
+            let mut s = StateStore::new(1);
+            let e0 = s.intern_env(&Env::new()).unwrap();
+            s.intern(&[0], e0, &[], &[]).unwrap();
+            s
+        };
+        let committed = EnvRef::Committed(0);
+        let env_of = |v| {
+            let mut env = Env::new();
+            env.set_var("x", Value::Int(v));
+            env
+        };
+        let (x, y) = (env_of(9), env_of(5));
         let mh = |m: &[u32]| StateStore::marking_hash(m);
-        // Discovered at key 5 in shard 0 with the pending env.
-        let er = EnvRef::Pending(pe);
-        let p_late = sh0
-            .intern_state(
-                &[2],
-                mh(&[2]),
-                pending_state_hash(mh(&[2]), er, &[], &[]),
-                er,
-                &[],
-                &[],
-                5,
-            )
-            .unwrap();
-        // Discovered at key 2 in shard 1 with the committed env.
-        let er0 = EnvRef::Committed(e0);
-        let p_early = sh1
-            .intern_state(
-                &[1],
-                mh(&[1]),
-                pending_state_hash(mh(&[1]), er0, &[], &[]),
-                er0,
-                &[],
-                &[],
-                2,
-            )
-            .unwrap();
-        // A duplicate reference with a *smaller* key min-reduces.
-        let p_again = sh0
-            .intern_state(
-                &[2],
-                mh(&[2]),
-                pending_state_hash(mh(&[2]), er, &[], &[]),
-                er,
-                &[],
-                &[],
-                4,
-            )
-            .unwrap();
-        assert_eq!(p_late, p_again);
 
-        let mut shards = [&mut sh0, &mut sh1];
-        let novel = collect_novel_states(&shards);
-        assert_eq!(novel.len(), 2);
-        assert!(novel[0].0 < novel[1].0, "sorted by discovery key");
-        let map = store.splice_level(&mut shards, &novel).unwrap();
-        // Key 2 (marking [1]) commits before key 4 (marking [2]).
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.try_marking_slice(1).unwrap(), &[1]);
-        assert_eq!(store.try_marking_slice(2).unwrap(), &[2]);
-        assert_eq!(map[pending_shard(p_early)][pending_local(p_early)], 1);
-        assert_eq!(map[pending_shard(p_late)][pending_local(p_late)], 2);
-        // The pending env was committed and the state references it.
-        assert_eq!(store.env_count(), 2);
-        assert_eq!(store.state(2).unwrap().env.var("x"), Some(Value::Int(9)));
-        // Shards are reset for the next level.
-        assert!(collect_novel_states(&shards).is_empty());
-    }
-}
+        let mut buf0 = LevelBuffer::new(1);
+        buf0.intern_env(&y, fx_hash_of(&y)).unwrap();
+        let x0 = EnvRef::Pending(buf0.intern_env(&x, fx_hash_of(&x)).unwrap());
+        assert_eq!(
+            buf0.intern_state(&[1], mh(&[1]), committed, &[], &[]),
+            Ok(0)
+        );
+        assert_eq!(buf0.intern_state(&[2], mh(&[2]), x0, &[], &[]), Ok(1));
+        assert_eq!(
+            buf0.intern_state(&[1], mh(&[1]), committed, &[], &[]),
+            Ok(0)
+        );
 
-/// The parallel level-barrier protocol under the interleaving checker:
-/// workers race to intern into lock-striped pending shards, and the
-/// barrier splice must produce the same committed order on **every**
-/// schedule — the bit-identical-at-any-job-count guarantee, proved
-/// exhaustively at model scale instead of sampled by real threads.
-#[cfg(all(test, feature = "race-model"))]
-mod race_tests {
-    use super::*;
-    use crate::race::{self, Options};
-    use crate::sync::Mutex;
+        let mut buf1 = LevelBuffer::new(1);
+        let x1 = EnvRef::Pending(buf1.intern_env(&x, fx_hash_of(&x)).unwrap());
+        assert_eq!(buf1.intern_state(&[2], mh(&[2]), x1, &[], &[]), Ok(0));
+        assert_eq!(
+            buf1.intern_state(&[3], mh(&[3]), committed, &[], &[]),
+            Ok(1)
+        );
 
-    fn intern_pending(shards: &[Mutex<PendingShard>], env: u32, marking: &[u32], key: u64) {
-        let marking_hash = StateStore::marking_hash(marking);
-        let env_ref = EnvRef::Committed(env);
-        let hash = pending_state_hash(marking_hash, env_ref, &[], &[]);
-        let shard = shard_index(hash, shards.len());
-        let mut sh = shards[shard].lock().expect("pending shard lock");
-        sh.intern_state(marking, marking_hash, hash, env_ref, &[], &[], key)
-            .expect("pending intern");
-    }
+        let mut store = fresh();
+        assert_eq!(store.commit_buffer(&buf0, usize::MAX).unwrap(), vec![1, 2]);
+        // The state both buffers found keeps buffer 0's dense index.
+        assert_eq!(store.commit_buffer(&buf1, usize::MAX).unwrap(), vec![2, 3]);
+        assert_eq!(store.len(), 4);
+        // x is numbered at buffer 0's first use (after y), not buffer 1's.
+        assert_eq!(store.env_count(), 3);
+        assert_eq!(store.try_env_id(2).unwrap(), 2);
+        assert_eq!(store.state(2).unwrap().env, &x);
 
-    #[test]
-    fn level_splice_is_deterministic_under_every_schedule() {
-        race::check(&Options::default(), || {
-            let mut store = StateStore::new(2);
-            let env = store.intern_env(&Env::new()).expect("env");
-            let (root, _) = store.intern(&[1, 0], env, &[], &[]).expect("root");
-            assert_eq!(root, 0);
-            let shards: Vec<Mutex<PendingShard>> = (0..2)
-                .map(|s| Mutex::new(PendingShard::new(s, 2)))
-                .collect();
-            race::scope(|s| {
-                s.spawn(|| {
-                    intern_pending(&shards, env, &[9, 0], 10);
-                    intern_pending(&shards, env, &[8, 0], 11);
-                });
-                s.spawn(|| {
-                    // Duplicates worker 0's [8, 0] with a *smaller*
-                    // discovery key: the min-reduction must win no
-                    // matter which worker inserted first.
-                    intern_pending(&shards, env, &[8, 0], 5);
-                    intern_pending(&shards, env, &[7, 0], 12);
-                });
-            });
-            let mut shards = shards;
-            let mut refs: Vec<&mut PendingShard> = shards
-                .iter_mut()
-                .map(|m| m.get_mut().expect("shard lock"))
-                .collect();
-            let novel = collect_novel_states(&refs);
-            assert_eq!(novel.len(), 3, "three distinct pending states");
-            store
-                .splice_level(&mut refs, &novel)
-                .expect("barrier splice");
-            // Discovery-key order, regardless of interleaving: the
-            // store is bit-identical to the sequential build's.
-            assert_eq!(store.len(), 4);
-            assert_eq!(
-                store.try_marking_slice(1).unwrap(),
-                &[8, 0],
-                "key 5 splices first"
-            );
-            assert_eq!(
-                store.try_marking_slice(2).unwrap(),
-                &[9, 0],
-                "key 10 second"
-            );
-            assert_eq!(store.try_marking_slice(3).unwrap(), &[7, 0], "key 12 last");
-        })
-        .expect("level splice has no defects");
+        // A cap that bites inside buffer 1 (after a cross-buffer hit at
+        // the cap) leaves exactly `max_states` states behind.
+        let mut capped = fresh();
+        capped.commit_buffer(&buf0, 3).unwrap();
+        assert_eq!(
+            capped.commit_buffer(&buf1, 3),
+            Err(ReachError::StateLimit { limit: 3 })
+        );
+        assert_eq!(capped.len(), 3);
     }
 }

@@ -141,13 +141,13 @@ fn parallel_counters_obey_the_catalogue_invariants() {
         seq.gauge("reach.peak_frontier"),
         par.gauge("reach.peak_frontier")
     );
-    // Only parallel builds splice pending shards at barriers.
+    // Only parallel builds commit worker buffers at barriers.
     let splices = par
         .hists
         .iter()
         .find(|h| h.name == "store.splice_states")
         .expect("registered");
-    assert!(splices.count > 0, "parallel build splices shards");
+    assert!(splices.count > 0, "parallel build commits worker buffers");
 }
 
 /// Satellite audit of the fault counters: every reload error path —

@@ -406,15 +406,20 @@ fn rebuilds_are_deterministic_on_the_paper_models() {
     assert_eq!(a, b, "timed rebuild differs");
 }
 
-/// Build `src` untimed and timed at jobs {1, 2, 4} × budget {∞, 64 KiB}
-/// and return the one error every configuration must agree on.
-fn same_error_everywhere(src: &str) -> pnut::reach::graph::ReachError {
+/// Build `src` capped at `max_states`, untimed and timed at jobs
+/// {1, 2, 4} × budget {∞, 64 KiB}, and return the one error every
+/// configuration must agree on.
+fn same_error_everywhere(src: &str, max_states: usize) -> pnut::reach::graph::ReachError {
     let net = pnut::lang::parse(src).expect("parses");
-    let reference = build_untimed(&net, &with_jobs(1)).expect_err("the build fails");
+    let capped = |options: ReachOptions| ReachOptions {
+        max_states,
+        ..options
+    };
+    let reference = build_untimed(&net, &capped(with_jobs(1))).expect_err("the build fails");
     for timed in [false, true] {
         for jobs in [1, 2, 4] {
             for budget in [usize::MAX, TINY_BUDGET] {
-                let options = with_budget(jobs, budget);
+                let options = capped(with_budget(jobs, budget));
                 let e = if timed {
                     build_timed(&net, &options)
                 } else {
@@ -443,6 +448,7 @@ fn the_action_runs_before_the_token_movement_at_every_job_count() {
          place q = 1\n\
          place p = 4294967295\n\
          trans t\n  in q\n  out p\n  act x = x / z;\nend\n",
+        ReachOptions::default().max_states,
     );
     assert_eq!(
         e,
@@ -468,7 +474,7 @@ fn an_eval_error_deep_in_the_build_reports_the_earliest_discovery() {
             &format!("trans up{i}\n  in off{i}\n  out on{i}\n  act n = n + 1; y = tab[n];\nend\n");
         src += &format!("trans down{i}\n  in on{i}\n  out off{i}\n  act n = n - 1;\nend\n");
     }
-    let e = same_error_everywhere(&src);
+    let e = same_error_everywhere(&src, ReachOptions::default().max_states);
     assert_eq!(
         e,
         pnut::reach::graph::ReachError::Eval {
@@ -477,6 +483,58 @@ fn an_eval_error_deep_in_the_build_reports_the_earliest_discovery() {
                 table: "tab".into(),
                 index: 5,
                 len: 5,
+            },
+        }
+    );
+}
+
+/// Ten cells that only switch on, counted by `n`, plus a `probe` that
+/// runs while cells 2–5 are all on and reads `tab[n]`, which is out of
+/// range from n = 4. Level 4 lists the 4-subsets of the cells in
+/// lexicographic order: 210 sources, wide enough to split at jobs 2
+/// and 4. The probe fails at exactly one of them, {2, 3, 4, 5} at
+/// index 140 (after the 140 sources holding cell 0 or 1), once that
+/// source's own successors are interned. That is in the second of two
+/// chunks and the third of four; later sources keep discovering new
+/// states. The 386 states of levels 0–4 always fit under the caps
+/// below.
+fn capped_probe_net() -> String {
+    let mut src = String::from("net capped\nvar n = 0\nvar y = 0\ntable tab = 0 0 0 0\n");
+    for i in 0..10 {
+        src += &format!("place off{i} = 1\nplace on{i} = 0\n");
+        src += &format!("trans up{i}\n  in off{i}\n  out on{i}\n  act n = n + 1;\nend\n");
+    }
+    src += "trans probe\n  in on2 on3 on4 on5\n  out on2 on3 on4 on5\n  act y = tab[n];\nend\n";
+    src
+}
+
+#[test]
+fn a_cap_crossed_before_the_first_eval_error_wins_in_a_split_level() {
+    // Source 0 of level 4 discovers six new states; the fourth crosses
+    // the cap, in the first chunk whenever the level is split, long
+    // before the probe fails in a later chunk.
+    let e = same_error_everywhere(&capped_probe_net(), 386 + 3);
+    assert_eq!(e, pnut::reach::graph::ReachError::StateLimit { limit: 389 });
+    // Inside the failing chunk too: source 140 discovers new states
+    // 197–200 before its probe fails, so a cap of 198 new states wins.
+    let e = same_error_everywhere(&capped_probe_net(), 386 + 198);
+    assert_eq!(e, pnut::reach::graph::ReachError::StateLimit { limit: 584 });
+}
+
+#[test]
+fn an_eval_error_before_the_cap_is_crossed_wins_in_a_split_level() {
+    // Sources 0..=140 of level 4 discover 200 new states, then the probe
+    // fails. The 211th new state, which the last chunk at jobs 4 reaches
+    // on its own, must never be reported.
+    let e = same_error_everywhere(&capped_probe_net(), 386 + 210);
+    assert_eq!(
+        e,
+        pnut::reach::graph::ReachError::Eval {
+            transition: "probe".into(),
+            source: pnut_core::EvalError::IndexOutOfBounds {
+                table: "tab".into(),
+                index: 4,
+                len: 4,
             },
         }
     );
