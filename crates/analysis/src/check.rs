@@ -74,8 +74,8 @@ impl From<ReachError> for InvariantCheckError {
 }
 
 /// Assert every state of `graph` satisfies every semi-positive
-/// P-invariant of `net`, sweeping segment-at-a-time (pin → scan →
-/// maintain) so the pager's resident budget is respected.
+/// P-invariant of `net` in one [`ReachabilityGraph::sweep`], so the
+/// pager's resident budget is respected.
 ///
 /// Timed states with tokens in flight are skipped (see
 /// [`InvariantCheck::states_skipped`]); untimed graphs have none.
@@ -102,38 +102,33 @@ pub fn check_invariants(
 
     let mut checked = 0u64;
     let mut skipped = 0u64;
-    for seg in 0..graph.segment_count() {
-        {
-            let guard = graph.pin_segment(seg);
-            for i in guard.range() {
-                let state = guard.state(i)?;
-                if !state.in_flight.is_empty() {
-                    skipped += 1;
-                    continue;
-                }
-                let marking = state.marking.as_slice();
-                for (k, inv) in invariants.iter().enumerate() {
-                    let got: i64 = inv
-                        .weights
-                        .iter()
-                        .zip(marking)
-                        .map(|(&w, &m)| w * i64::from(m))
-                        .sum();
-                    if got != expected[k] {
-                        return Err(InvariantCheckError::Violation {
-                            state: i,
-                            weights: inv.weights.clone(),
-                            invariant: describe_invariant(net, &inv.weights, expected[k]),
-                            expected: expected[k],
-                            got,
-                        });
-                    }
-                }
-                checked += 1;
+    graph.sweep(|i, guard| -> Result<(), InvariantCheckError> {
+        let state = guard.state(i)?;
+        if !state.in_flight.is_empty() {
+            skipped += 1;
+            return Ok(());
+        }
+        let marking = state.marking.as_slice();
+        for (k, inv) in invariants.iter().enumerate() {
+            let got: i64 = inv
+                .weights
+                .iter()
+                .zip(marking)
+                .map(|(&w, &m)| w * i64::from(m))
+                .sum();
+            if got != expected[k] {
+                return Err(InvariantCheckError::Violation {
+                    state: i,
+                    weights: inv.weights.clone(),
+                    invariant: describe_invariant(net, &inv.weights, expected[k]),
+                    expected: expected[k],
+                    got,
+                });
             }
         }
-        graph.maintain()?;
-    }
+        checked += 1;
+        Ok(())
+    })?;
     pnut_obs::metrics::ANALYSIS_INVARIANT_STATES.add(checked);
     Ok(InvariantCheck {
         invariants: invariants.len(),

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use pnut_core::expr::{Env, Expr, Target, Value};
-use pnut_core::{analysis, invariant, Delay, Net, PlaceId};
+use pnut_core::{invariant, Delay, Net, PlaceId};
 
 use crate::report::{Finding, LintReport, Severity};
 
@@ -133,19 +133,26 @@ pub fn lint(net: &Net) -> LintReport {
 
     // Pass 2: statically dead transitions (one finding per transition,
     // first proven cause wins) and guaranteed-failing constants.
-    let structure = analysis::structural_report(net);
+    let produced: Vec<bool> = net
+        .places()
+        .map(|(p, _)| !net.producers(p).is_empty())
+        .collect();
+    let consumed: Vec<bool> = net
+        .places()
+        .map(|(p, _)| !net.consumers(p).is_empty())
+        .collect();
+    let m0 = net.initial_marking();
     for (tid, t) in net.transitions() {
         let mut dead_why: Option<String> = None;
 
-        if structure.structurally_dead_transitions.contains(&tid) {
-            let starved = t
-                .inputs()
-                .iter()
-                .find(|&&(p, w)| net.initial_marking().tokens(p) < w && net.producers(p).is_empty())
-                .map(|&(p, _)| net.place(p).name().to_string())
-                .unwrap_or_default();
+        if let Some(&(p, _)) = t
+            .inputs()
+            .iter()
+            .find(|&&(p, w)| m0.tokens(p) < w && !produced[p.index()])
+        {
             dead_why = Some(format!(
-                "input place `{starved}` starts short of tokens and no transition produces it"
+                "input place `{}` starts short of tokens and no transition produces it",
+                net.place(p).name()
             ));
         }
 
@@ -206,38 +213,51 @@ pub fn lint(net: &Net) -> LintReport {
         }
     }
 
-    // Pass 3: structural dead ends.
-    for &p in &structure.isolated_places {
-        findings.push(Finding {
-            severity: Severity::Warn,
-            code: "isolated-place",
-            subject: net.place(p).name().to_string(),
-            why: "connected to no transition at all".into(),
-        });
+    // Pass 3: structural dead ends, one kind after another so equal
+    // severities keep a stable, kind-grouped order.
+    for (severity, code, has_producer, has_consumer, why) in [
+        (
+            Severity::Warn,
+            "isolated-place",
+            false,
+            false,
+            "connected to no transition at all",
+        ),
+        (
+            Severity::Info,
+            "never-produced-place",
+            false,
+            true,
+            "no transition produces it; its tokens can only drain",
+        ),
+        (
+            Severity::Info,
+            "never-consumed-place",
+            true,
+            false,
+            "no transition consumes it; its tokens only accumulate",
+        ),
+    ] {
+        for (p, place) in net.places() {
+            if produced[p.index()] == has_producer && consumed[p.index()] == has_consumer {
+                findings.push(Finding {
+                    severity,
+                    code,
+                    subject: place.name().to_string(),
+                    why: why.into(),
+                });
+            }
+        }
     }
-    for &p in &structure.source_only_places {
-        findings.push(Finding {
-            severity: Severity::Info,
-            code: "never-produced-place",
-            subject: net.place(p).name().to_string(),
-            why: "no transition produces it; its tokens can only drain".into(),
-        });
-    }
-    for &p in &structure.sink_only_places {
-        findings.push(Finding {
-            severity: Severity::Info,
-            code: "never-consumed-place",
-            subject: net.place(p).name().to_string(),
-            why: "no transition consumes it; its tokens only accumulate".into(),
-        });
-    }
-    for &t in &structure.sourceless_transitions {
-        findings.push(Finding {
-            severity: Severity::Info,
-            code: "input-free-transition",
-            subject: net.transition(t).name().to_string(),
-            why: "has no input arcs, so it is always marking-enabled".into(),
-        });
+    for (_, t) in net.transitions() {
+        if t.inputs().is_empty() {
+            findings.push(Finding {
+                severity: Severity::Info,
+                code: "input-free-transition",
+                subject: t.name().to_string(),
+                why: "has no input arcs, so it is always marking-enabled".into(),
+            });
+        }
     }
     if let Some(why) = disconnected(net) {
         findings.push(Finding {

@@ -78,6 +78,31 @@ fn golden_models_agree() {
     }
 }
 
+/// The paper's three-stage and sequential pipelines are closed
+/// systems: every place is both produced and consumed, and every
+/// transition has an input.
+#[test]
+fn paper_models_have_no_structural_dead_ends() {
+    let three_stage = workloads::three_stage_net();
+    let sequential = sequential::build(&ThreeStageConfig::default()).expect("paper config builds");
+    for net in [&three_stage, &sequential] {
+        let dead_ends: Vec<_> = lint(net)
+            .findings
+            .into_iter()
+            .filter(|f| {
+                matches!(
+                    f.code,
+                    "isolated-place"
+                        | "never-produced-place"
+                        | "never-consumed-place"
+                        | "input-free-transition"
+                )
+            })
+            .collect();
+        assert!(dead_ends.is_empty(), "{}: {dead_ends:?}", net.name());
+    }
+}
+
 #[test]
 fn random_net_sweep_agrees() {
     let mut checked = 0;

@@ -133,20 +133,47 @@ fn always_marked_inhibitor_is_dead() -> Result<(), NetError> {
     Ok(())
 }
 
+/// Findings are stably sorted by severity only, so within one severity
+/// the emission order is visible output: isolated → never-produced →
+/// never-consumed → input-free, each kind in id order. The drain and
+/// pile places interleave by id, so a per-place pass that emitted both
+/// kinds at once would interleave the Info findings.
 #[test]
 fn structural_dead_ends_are_reported() -> Result<(), NetError> {
     let mut b = NetBuilder::new("ends");
     b.place("lonely", 0);
-    b.place("drain", 2);
-    b.place("pile", 0);
-    b.transition("t").input("drain").output("pile").add();
-    b.transition("free").output("pile").add();
+    b.place("drain_a", 2);
+    b.place("pile_a", 0);
+    b.place("drain_b", 1);
+    b.place("pile_b", 0);
+    b.transition("t_a").input("drain_a").output("pile_a").add();
+    b.transition("t_b").input("drain_b").output("pile_b").add();
+    b.transition("free").output("pile_a").add();
     let net = b.build()?;
-    let cs = codes(&net);
-    assert!(cs.contains(&"isolated-place"));
-    assert!(cs.contains(&"never-produced-place"));
-    assert!(cs.contains(&"never-consumed-place"));
-    assert!(cs.contains(&"input-free-transition"));
+    let found: Vec<(&str, String)> = lint(&net)
+        .findings
+        .into_iter()
+        .map(|f| (f.code, f.subject))
+        .collect();
+    let expected = [
+        ("unbounded-place", "drain_a"),
+        ("unbounded-place", "pile_a"),
+        ("isolated-place", "lonely"),
+        ("disconnected-net", "ends"),
+        ("never-produced-place", "drain_a"),
+        ("never-produced-place", "drain_b"),
+        ("never-consumed-place", "pile_a"),
+        ("never-consumed-place", "pile_b"),
+        ("input-free-transition", "free"),
+        ("no-cycles", "ends"),
+    ];
+    assert_eq!(
+        found,
+        expected
+            .iter()
+            .map(|&(c, s)| (c, s.to_string()))
+            .collect::<Vec<_>>()
+    );
     Ok(())
 }
 

@@ -215,61 +215,54 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     graph.reset_peak_resident_bytes();
 
     // Embedded jump chain: per state, (successor, probability, label).
-    // Extracted segment-at-a-time — pin one segment's edge rows, scan
-    // them, evict back under the byte budget — so the extraction phase
-    // stays inside `mem_budget` instead of faulting the whole graph
-    // resident. Deadlocks surface here too (segment order is state
+    // Extracted in one segment-ordered `sweep` (evicting back under the
+    // byte budget between segments), so the extraction phase stays
+    // inside `mem_budget` instead of faulting the whole graph resident. Deadlocks surface here too (segment order is state
     // order, so the first one found is the lowest-numbered, matching
     // the pre-paging behaviour of `deadlocks().first()`).
     let extract_span = obs::span("markov.extract");
     let mut jumps: Vec<Vec<(usize, f64, EdgeLabel)>> = Vec::with_capacity(n);
     let mut sojourn = vec![0.0f64; n];
-    for seg in 0..graph.segment_count() {
-        {
-            let guard = graph.pin_segment(seg);
-            for s in guard.range() {
-                let edges = guard.successors(s)?;
-                if edges.is_empty() {
-                    return Err(MarkovError::Deadlock { state: s });
-                }
-                let fires: Vec<_> = edges
+    graph.sweep(|s, guard| -> Result<(), MarkovError> {
+        let edges = guard.successors(s)?;
+        if edges.is_empty() {
+            return Err(MarkovError::Deadlock { state: s });
+        }
+        let fires: Vec<_> = edges
+            .iter()
+            .filter(|(l, _)| matches!(l, EdgeLabel::Fire(_)))
+            .collect();
+        if !fires.is_empty() {
+            let total: f64 = fires
+                .iter()
+                .map(|&&(l, _)| match l {
+                    EdgeLabel::Fire(t) => net.transition(t).frequency(),
+                    EdgeLabel::Advance(_) => 0.0,
+                })
+                .sum();
+            jumps.push(
+                fires
                     .iter()
-                    .filter(|(l, _)| matches!(l, EdgeLabel::Fire(_)))
-                    .collect();
-                if !fires.is_empty() {
-                    let total: f64 = fires
-                        .iter()
-                        .map(|&&(l, _)| match l {
+                    .map(|&&(l, to)| {
+                        let f = match l {
                             EdgeLabel::Fire(t) => net.transition(t).frequency(),
                             EdgeLabel::Advance(_) => 0.0,
-                        })
-                        .sum();
-                    jumps.push(
-                        fires
-                            .iter()
-                            .map(|&&(l, to)| {
-                                let f = match l {
-                                    EdgeLabel::Fire(t) => net.transition(t).frequency(),
-                                    EdgeLabel::Advance(_) => 0.0,
-                                };
-                                (to as usize, f / total, l)
-                            })
-                            .collect(),
-                    );
-                } else {
-                    // Exactly one Advance edge (maximal-progress
-                    // construction).
-                    let &(label, to) = edges.first().expect("non-deadlock state has an edge");
-                    let EdgeLabel::Advance(dt) = label else {
-                        unreachable!("non-fire edge is an advance");
-                    };
-                    sojourn[s] = dt as f64;
-                    jumps.push(vec![(to as usize, 1.0, label)]);
-                }
-            }
+                        };
+                        (to as usize, f / total, l)
+                    })
+                    .collect(),
+            );
+        } else {
+            // Exactly one Advance edge (maximal-progress construction).
+            let &(label, to) = edges.first().expect("non-deadlock state has an edge");
+            let EdgeLabel::Advance(dt) = label else {
+                unreachable!("non-fire edge is an advance");
+            };
+            sojourn[s] = dt as f64;
+            jumps.push(vec![(to as usize, 1.0, label)]);
         }
-        graph.maintain()?;
-    }
+        Ok(())
+    })?;
     obs::metrics::MARKOV_EXTRACTED_EDGES.add(jumps.iter().map(|out| out.len() as u64).sum());
     drop(extract_span);
     if sojourn.iter().all(|&t| t == 0.0) {
@@ -342,21 +335,15 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // segment-ordered sweep, this time over the marking rows.
     let places = net.place_count();
     let mut place_average_tokens = vec![0.0f64; places];
-    for seg in 0..graph.segment_count() {
-        {
-            let guard = graph.pin_segment(seg);
-            for s in guard.range() {
-                let frac = state_fraction[s];
-                if frac == 0.0 {
-                    continue;
-                }
-                for (p, &tokens) in guard.marking(s)?.iter().enumerate() {
-                    place_average_tokens[p] += frac * f64::from(tokens);
-                }
+    graph.sweep(|s, guard| -> Result<(), MarkovError> {
+        let frac = state_fraction[s];
+        if frac != 0.0 {
+            for (p, &tokens) in guard.marking(s)?.iter().enumerate() {
+                place_average_tokens[p] += frac * f64::from(tokens);
             }
         }
-        graph.maintain()?;
-    }
+        Ok(())
+    })?;
 
     // The segment-ordered sweeps above promise the analysis-phase
     // resident envelope: budget + one pinned guard (state + edge

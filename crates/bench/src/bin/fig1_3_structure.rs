@@ -7,7 +7,7 @@
 //! per stage, plus the structural checks §4.2 relies on (the bus group
 //! is conservative and atomic).
 
-use pnut_core::analysis;
+use pnut_core::invariant;
 use pnut_pipeline::{three_stage, ThreeStageConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.place_id("Bus_free").expect("bus places exist"),
         net.place_id("Bus_busy").expect("bus places exist"),
     ];
-    let violations = analysis::conservation_violations(&net, &group);
-    let nonatomic = analysis::nonatomic_group_movers(&net, &group);
+    let violations = invariant::conservation_violations(&net, &group);
+    let nonatomic = invariant::nonatomic_group_movers(&net, &group);
     println!(
         "Bus_free/Bus_busy conservation violations: {} (expect 0)",
         violations.len()
@@ -38,15 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "non-atomic bus movers:                     {} (expect 0)",
         nonatomic.len()
     );
-    let report = analysis::structural_report(&net);
-    println!("structural anomalies:                      {}", {
-        if report.is_clean() {
-            "none".to_string()
-        } else {
-            format!("{report:?}")
-        }
-    });
-
     println!("\nStage inventory (Figure -> subnet):");
     for (fig, stage, transitions) in [
         (

@@ -7,7 +7,7 @@
 //! crate packages the reproduction the same way:
 //!
 //! ```text
-//! pnut check model.pn                 structural report + invariants
+//! pnut lint model.pn                  static analysis: bounds, dead ends
 //! pnut print model.pn                 parse and pretty-print (canonicalize)
 //! pnut sim model.pn --until 10000 --seed 1 -o trace.json
 //! pnut stat trace.json                Figure 5 statistics report
@@ -328,7 +328,7 @@ fn load_net(path: &str) -> Result<Net, CliError> {
     pnut_lang::parse(&text).map_err(|e| err(format!("{path}: {e}")))
 }
 
-/// Shared model-load plumbing (`check`, `lint`, `reach`): read, parse,
+/// Shared model-load plumbing (`lint`, `reach`): read, parse,
 /// and build a model inside the `parse` span, with uniform
 /// [`CliError`] reporting. Call after [`ObsSession::from_args`] so the
 /// span lands in the session.
@@ -382,7 +382,6 @@ pub fn run(argv: &[String], out: &mut String) -> Result<i32, CliError> {
             out.push_str(USAGE);
             Ok(0)
         }
-        "check" => cmd_check(rest, out),
         "lint" => cmd_lint(rest, out),
         "print" => cmd_print(rest, out),
         "dot" => cmd_dot(rest, out),
@@ -407,7 +406,6 @@ pnut — Petri-Net Utility Tools (Razouk 1987/88 reproduction)
 
 usage: pnut <command> [args]
 
-  check <model.pn>                     structural report + P/T-invariants
   lint <model.pn>... [--json] [observability]  static analysis: invariant
                      bounds, dead transitions, expression lint
                      (docs/STATIC_ANALYSIS.md; exit 2 on error findings)
@@ -490,107 +488,6 @@ error taxonomy — every failure names which of these it is:
                valid snapshot (see pager.fault_failures). Retry with
                a healthy --spill-dir or a larger --mem-budget.
 ";
-
-fn cmd_check(argv: &[String], out: &mut String) -> Result<i32, CliError> {
-    let mut args = Args::new(argv);
-    let path = args
-        .positional()
-        .ok_or_else(|| err("check: need a model file"))?;
-    args.finish()?;
-    let net = load_model(&path)?;
-    let report = pnut_core::analysis::structural_report(&net);
-    let _ = writeln!(
-        out,
-        "net `{}`: {} places, {} transitions",
-        net.name(),
-        net.place_count(),
-        net.transition_count()
-    );
-    let name_list = |ids: &[pnut_core::PlaceId]| -> String {
-        ids.iter()
-            .map(|&p| net.place(p).name().to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let tname_list = |ids: &[pnut_core::TransitionId]| -> String {
-        ids.iter()
-            .map(|&t| net.transition(t).name().to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut clean = true;
-    if !report.isolated_places.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "isolated places: {}",
-            name_list(&report.isolated_places)
-        );
-    }
-    if !report.source_only_places.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "drain-only places (no producer): {}",
-            name_list(&report.source_only_places)
-        );
-    }
-    if !report.sink_only_places.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "accumulate-only places (no consumer): {}",
-            name_list(&report.sink_only_places)
-        );
-    }
-    if !report.sourceless_transitions.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "input-free transitions: {}",
-            tname_list(&report.sourceless_transitions)
-        );
-    }
-    if !report.structurally_dead_transitions.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "structurally dead transitions: {}",
-            tname_list(&report.structurally_dead_transitions)
-        );
-    }
-    if clean {
-        let _ = writeln!(out, "structure: clean");
-    }
-
-    let pinv = pnut_core::invariant::p_invariants(&net);
-    let _ = writeln!(out, "P-invariants ({}):", pinv.len());
-    for inv in &pinv {
-        let terms: Vec<String> = inv
-            .weights
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w != 0)
-            .map(|(i, &w)| {
-                let n = net.place(pnut_core::PlaceId::new(i)).name();
-                if w == 1 {
-                    n.to_string()
-                } else {
-                    format!("{w}·{n}")
-                }
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "  {} = {}",
-            terms.join(" + "),
-            inv.token_sum(&net.initial_marking())
-        );
-    }
-    let tinv = pnut_core::invariant::t_invariants(&net);
-    let _ = writeln!(out, "T-invariants ({})", tinv.len());
-    Ok(if clean { 0 } else { 2 })
-}
 
 fn cmd_lint(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let mut args = Args::new(argv);
@@ -1165,16 +1062,6 @@ mod tests {
         let mut s = String::new();
         assert!(run(&["bogus".to_string()], &mut s).is_err());
         assert_eq!(run(&[], &mut s).unwrap(), 1);
-    }
-
-    #[test]
-    fn check_reports_invariants() {
-        let dir = tmpdir("check");
-        let model = write_model(&dir);
-        let (code, out) = run_args(&["check", &model]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("structure: clean"));
-        assert!(out.contains("Bus_free + Bus_busy = 1"));
     }
 
     #[test]

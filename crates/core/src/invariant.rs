@@ -39,7 +39,7 @@
 //! ```
 
 use crate::marking::Marking;
-use crate::net::Net;
+use crate::net::{Net, PlaceId, TransitionId};
 
 /// An integer place weighting with `yᵀ·C = 0`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -364,6 +364,54 @@ pub fn verify_t_invariant(net: &Net, weights: &[i64]) -> bool {
         .all(|row| row.iter().zip(weights).map(|(&a, &x)| a * x).sum::<i64>() == 0)
 }
 
+/// Check whether a set of places is a *complementary group*: every
+/// transition that touches any of them preserves their token sum.
+///
+/// This is the structural form of the paper's §4.4 invariant
+/// `Bus_busy + Bus_free = 1`: if the group is complementary and the
+/// transitions moving tokens inside the group all have zero firing time,
+/// the sum is constant in every observable state.
+///
+/// Returns the transitions that violate conservation (empty =
+/// the group is complementary).
+pub fn conservation_violations(net: &Net, group: &[PlaceId]) -> Vec<TransitionId> {
+    let in_group = |p: PlaceId| group.contains(&p);
+    net.transitions()
+        .filter(|(_, t)| {
+            let consumed: i64 = t
+                .inputs()
+                .iter()
+                .filter(|&&(p, _)| in_group(p))
+                .map(|&(_, w)| i64::from(w))
+                .sum();
+            let produced: i64 = t
+                .outputs()
+                .iter()
+                .filter(|&&(p, _)| in_group(p))
+                .map(|&(_, w)| i64::from(w))
+                .sum();
+            consumed != produced
+        })
+        .map(|(id, _)| id)
+        .collect()
+}
+
+/// Transitions in the group that move tokens *within* `group` but have a
+/// non-zero (or non-constant) firing time — these make the group's token
+/// sum observably dip during firing, the §4.2 modeling bug the paper
+/// demonstrates catching with a trace query.
+pub fn nonatomic_group_movers(net: &Net, group: &[PlaceId]) -> Vec<TransitionId> {
+    let in_group = |p: PlaceId| group.contains(&p);
+    net.transitions()
+        .filter(|(_, t)| {
+            let touches = t.inputs().iter().any(|&(p, _)| in_group(p))
+                && t.outputs().iter().any(|&(p, _)| in_group(p));
+            touches && !t.firing_time().is_zero_constant()
+        })
+        .map(|(id, _)| id)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,5 +516,64 @@ mod tests {
             weights: vec![1, 1],
         };
         let _ = inv.token_sum(&Marking::new(3));
+    }
+
+    fn group_bus_net(atomic: bool) -> Net {
+        let mut b = NetBuilder::new("bus");
+        b.place("Bus_free", 1);
+        b.place("Bus_busy", 0);
+        b.place("work", 1);
+        let t = b
+            .transition("acquire")
+            .input("Bus_free")
+            .input("work")
+            .output("Bus_busy");
+        let t = if atomic { t } else { t.firing(3) };
+        t.add();
+        b.transition("release")
+            .input("Bus_busy")
+            .output("Bus_free")
+            .output("work")
+            .add();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn complementary_bus_group_is_conserved() {
+        let net = group_bus_net(true);
+        let group = [
+            net.place_id("Bus_free").unwrap(),
+            net.place_id("Bus_busy").unwrap(),
+        ];
+        assert!(conservation_violations(&net, &group).is_empty());
+        assert!(nonatomic_group_movers(&net, &group).is_empty());
+    }
+
+    #[test]
+    fn nonzero_firing_time_flagged_as_nonatomic() {
+        let net = group_bus_net(false);
+        let group = [
+            net.place_id("Bus_free").unwrap(),
+            net.place_id("Bus_busy").unwrap(),
+        ];
+        // Conservation still holds structurally...
+        assert!(conservation_violations(&net, &group).is_empty());
+        // ...but the mover is non-atomic: the §4.2 bug.
+        let movers = nonatomic_group_movers(&net, &group);
+        assert_eq!(movers.len(), 1);
+        assert_eq!(net.transition(movers[0]).name(), "acquire");
+    }
+
+    #[test]
+    fn violation_detected_when_group_leaks() {
+        let mut b = NetBuilder::new("leak");
+        b.place("a", 1);
+        b.place("b", 0);
+        b.place("outside", 0);
+        b.transition("leak").input("a").output("outside").add();
+        let net = b.build().unwrap();
+        let group = [net.place_id("a").unwrap(), net.place_id("b").unwrap()];
+        let v = conservation_violations(&net, &group);
+        assert_eq!(v.len(), 1);
     }
 }

@@ -46,7 +46,6 @@
 //! # }
 //! ```
 
-pub mod analysis;
 mod builder;
 mod error;
 pub mod expr;

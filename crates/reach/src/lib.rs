@@ -56,9 +56,11 @@
 //!   [`pager`]), so the state-count ceiling is disk, not RAM — the hot
 //!   frontier stays resident and the graph is still bit-identical at
 //!   any budget. Analyses honor the same budget: CTL fixpoints,
-//!   deadlock/bound sweeps, and Markov extraction read the graph
-//!   segment-at-a-time through [`graph::SegmentGuard`]s, evicting
-//!   between segments, so *verification* runs past RAM too.
+//!   deadlock/bound sweeps, Markov extraction and the invariant
+//!   cross-check all read the graph through one segment-ordered pass,
+//!   [`ReachabilityGraph::sweep`], which lends each callback a pinned
+//!   [`graph::SegmentGuard`] and evicts between segments, so
+//!   *verification* runs past RAM too.
 //!
 //! Construction is O(edges × marking width) time with exactly one arena
 //! copy per distinct state; two builds of the same net yield

@@ -179,8 +179,12 @@ fn wide_chain_net() -> pnut_core::Net {
 /// the fault sequence of whatever runs next) depends only on the sweep
 /// order, not on build history or worker timing.
 fn normalize(g: &mut pnut_reach::ReachabilityGraph) {
-    g.for_each_state_in_segments(|_, _, _| {})
-        .expect("normalization sweep");
+    g.sweep(|i, guard| -> Result<(), ReachError> {
+        guard.state(i)?;
+        guard.successors(i)?;
+        Ok(())
+    })
+    .expect("normalization sweep");
 }
 
 fn faults() -> u64 {
@@ -332,7 +336,12 @@ fn mid_sweep_reload_failure_in_a_parallel_paged_graph() {
     fail_nth_spill_read(2);
     let mut visited = 0usize;
     let err = g
-        .for_each_state_in_segments(|_, _, _| visited += 1)
+        .sweep(|i, guard| -> Result<(), ReachError> {
+            guard.state(i)?;
+            guard.successors(i)?;
+            visited += 1;
+            Ok(())
+        })
         .expect_err("injected mid-sweep read fails");
     expect_spill(err, "read");
     assert!(
@@ -343,7 +352,12 @@ fn mid_sweep_reload_failure_in_a_parallel_paged_graph() {
     // Once the fault clears the same graph sweeps to completion.
     reset_spill_failures();
     let mut revisited = 0usize;
-    g.for_each_state_in_segments(|_, _, _| revisited += 1)
-        .expect("clean sweep");
+    g.sweep(|i, guard| -> Result<(), ReachError> {
+        guard.state(i)?;
+        guard.successors(i)?;
+        revisited += 1;
+        Ok(())
+    })
+    .expect("clean sweep");
     assert_eq!(revisited, total);
 }

@@ -133,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         buggy.place_id("Bus_free").expect("place exists"),
         buggy.place_id("Bus_busy").expect("place exists"),
     ];
-    let movers = pnut::core::analysis::nonatomic_group_movers(&buggy, &group);
+    let movers = pnut::core::invariant::nonatomic_group_movers(&buggy, &group);
     println!(
         "  structural check: {} non-atomic bus mover(s) flagged before simulation",
         movers.len()

@@ -1,5 +1,6 @@
 //! Static gate for the fallible paged read path: the post-build
-//! analysis code in `graph.rs`, `ctl.rs`, and `markov.rs` must never
+//! analysis code in `graph.rs`, `ctl.rs`, `markov.rs`, and the
+//! invariant cross-check in `analysis/src/check.rs` must never
 //! reintroduce a panicking accessor — a spill fault degrades the one
 //! analysis that hit it, never the process (see docs/CONCURRENCY.md).
 //!
@@ -46,6 +47,7 @@ const GATED_FILES: &[&str] = &[
     "crates/reach/src/graph.rs",
     "crates/reach/src/ctl.rs",
     "crates/analytic/src/markov.rs",
+    "crates/analysis/src/check.rs",
 ];
 
 #[test]
@@ -86,8 +88,10 @@ fn paged_read_path_has_no_panics() {
     }
 }
 
-/// The panicking fault helper is gone for good: `try_pin_segment` and
-/// the fallible accessors are the only way to touch paged rows.
+/// The panicking fault helper is gone for good: `ReachabilityGraph::sweep`
+/// (whose `SegmentGuard` row accessors return `Result`) and the
+/// fallible random-access accessors are the only way to touch paged
+/// rows.
 #[test]
 fn the_infallible_paged_helper_stays_deleted() {
     for path in ["crates/reach/src/graph.rs", "crates/reach/src/store.rs"] {
@@ -111,7 +115,8 @@ fn expect_count_is_pinned() {
         total += src.matches(".expect(").count() + src.matches(".unwrap(").count();
     }
     // 2 build-path expects in graph.rs, 3 parser `self.expect` calls
-    // in ctl.rs, 1 extraction invariant + 1 doc example in markov.rs.
+    // in ctl.rs, 1 extraction invariant + 1 doc example in markov.rs,
+    // none in check.rs.
     assert!(
         total <= 7,
         "gated files gained a new `.expect(`/`.unwrap(` (now {total}); \

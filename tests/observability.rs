@@ -245,3 +245,37 @@ fn fault_failures_tick_on_every_reload_error_path() {
     assert_eq!(s.try_marking_slice(0).expect("clean refault"), &[0, 0]);
     assert_eq!(seq(), (6, 3, 3, 4 * len + len / 2), "clean refault");
 }
+
+/// `ctl.sweeps` counts CTL sweeps and nothing else (e2ebench reports it
+/// per layer). The deadlock/bound report and the invariant cross-check
+/// run on the same `ReachabilityGraph::sweep` but are not CTL, so a
+/// `pnut reach models/three_stage.pn` run records exactly the sweeps of
+/// its `--ctl` formula: 7 for `AG EF (Bus_busy = 1)`, 0 without
+/// `--ctl` even under `--check-invariants`.
+#[test]
+fn ctl_sweeps_count_only_ctl_sweeps() {
+    use pnut::reach::ctl;
+
+    let _g = serial();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/models/three_stage.pn");
+    let text = std::fs::read_to_string(path).expect("checked-in model");
+    let net = pnut::lang::parse(&text).expect("parses");
+    // The library calls `pnut reach` makes, in its order.
+    let reach = |formula: Option<&str>, check_invariants: bool| {
+        obs::install();
+        let mut g = build_untimed(&net, &ReachOptions::default()).expect("builds");
+        g.deadlocks().expect("resident");
+        g.place_bounds().expect("resident");
+        if check_invariants {
+            pnut::analysis::check_invariants(&net, &mut g).expect("invariants hold");
+        }
+        if let Some(text) = formula {
+            let formula = ctl::Formula::parse(text).expect("parses");
+            ctl::check(&mut g, &net, &formula).expect("checks");
+        }
+        obs::uninstall();
+        obs::snapshot().counter("ctl.sweeps")
+    };
+    assert_eq!(reach(Some("AG EF (Bus_busy = 1)"), false), 7);
+    assert_eq!(reach(None, true), 0);
+}

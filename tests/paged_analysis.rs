@@ -10,15 +10,16 @@
 //! how fast they are found, never what any analysis computes.
 //!
 //! **The analysis-phase resident envelope**: with the peak probe reset
-//! after the build, the segment-ordered sweeps keep peak resident
-//! arena bytes ≤ budget + one pinned guard (state segment + edge
-//! segment) + one segment of slack. Sweeping under `&self` the old way
+//! after the build, the segment-ordered sweeps — every analysis reads
+//! the graph through `ReachabilityGraph::sweep`, the one pin → scan →
+//! maintain loop — keep peak resident arena bytes ≤ budget + one
+//! pinned guard (state segment + edge segment) + one segment of slack. Sweeping under `&self` the old way
 //! would fault the whole store resident; this harness is what keeps
 //! that regression from coming back.
 
 use pnut::core::Net;
 use pnut::reach::ctl;
-use pnut::reach::graph::{build_timed, build_untimed, ReachOptions, ReachabilityGraph};
+use pnut::reach::graph::{build_timed, build_untimed, ReachError, ReachOptions, ReachabilityGraph};
 use pnut_bench::workloads::wide_toggle;
 use pnut_pipeline::{interpreted, three_stage, ThreeStageConfig};
 
@@ -187,11 +188,11 @@ fn wide_toggle_analyses_are_budget_invariant() {
     assert_battery_invariant(&net, false, &formulas, true);
 }
 
-/// The packaged one-call sweep, `for_each_state_in_segments`, is the
-/// convenience entry point for analyses that need states *and* edges
-/// together (external consumers get the pin → scan → maintain
-/// discipline without hand-rolling the loop): it must visit every
-/// state exactly once in index order, agree with the specialized
+/// `ReachabilityGraph::sweep` is the one segment-ordered pass every
+/// analysis goes through, and the entry point for callers that need
+/// states *and* edges together (they get the pin → scan → maintain
+/// discipline without being able to hand-roll the loop): it must visit
+/// every state exactly once in index order, agree with the specialized
 /// analyses, and stay inside the same envelope.
 #[test]
 fn for_each_state_in_segments_agrees_with_the_analyses() {
@@ -203,7 +204,9 @@ fn for_each_state_in_segments_agrees_with_the_analyses() {
     let mut bounds = vec![0u32; net.place_count()];
     let mut deadlocks = Vec::new();
     let mut edge_total = 0usize;
-    g.for_each_state_in_segments(|i, state, succs| {
+    g.sweep(|i, guard| -> Result<(), ReachError> {
+        let state = guard.state(i)?;
+        let succs = guard.successors(i)?;
         visited.push(i);
         for (b, &t) in bounds.iter_mut().zip(state.marking.as_slice()) {
             *b = (*b).max(t);
@@ -212,6 +215,7 @@ fn for_each_state_in_segments_agrees_with_the_analyses() {
             deadlocks.push(i);
         }
         edge_total += succs.len();
+        Ok(())
     })
     .expect("sweep completes");
 
@@ -219,7 +223,7 @@ fn for_each_state_in_segments_agrees_with_the_analyses() {
     let slack = guard + g.max_state_segment_bytes().max(g.max_edge_segment_bytes());
     assert!(
         g.peak_resident_bytes() <= TINY_BUDGET + slack,
-        "for_each sweep peaked at {} resident bytes (budget {TINY_BUDGET} + slack {slack})",
+        "sweep peaked at {} resident bytes (budget {TINY_BUDGET} + slack {slack})",
         g.peak_resident_bytes()
     );
     assert_eq!(visited, (0..g.state_count()).collect::<Vec<_>>());

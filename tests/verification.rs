@@ -147,7 +147,7 @@ fn structural_and_reachability_bounds_agree_on_the_bus() {
         net.place_id("Bus_free").expect("exists"),
         net.place_id("Bus_busy").expect("exists"),
     ];
-    assert!(pnut::core::analysis::conservation_violations(&net, &group).is_empty());
+    assert!(pnut::core::invariant::conservation_violations(&net, &group).is_empty());
     // Reachability: therefore the group sum is the initial sum in every
     // state.
     let g = untimed(&net);
