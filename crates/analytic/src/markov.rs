@@ -22,8 +22,15 @@
 
 use pnut_core::{Net, PlaceId, TransitionId};
 use pnut_obs as obs;
-use pnut_reach::graph::{build_timed, EdgeLabel, ReachOptions, ReachabilityGraph};
+use pnut_reach::graph::{build_timed, EdgeLabel, ReachOptions};
 use std::fmt;
+
+/// Power-iteration sweep cap: the solve fails with
+/// [`MarkovError::NoConvergence`] after this many sweeps.
+const MAX_ITERATIONS: usize = 200_000;
+/// The solve stops once two successive iterates differ by less than
+/// this in L1 norm.
+const TOLERANCE: f64 = 1e-12;
 
 /// Why steady-state analysis failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,12 +49,15 @@ pub enum MarkovError {
     /// The chain never lets time pass (a zero-delay cycle): sojourn
     /// times are all zero and utilization is undefined.
     Zeno,
-    /// The graph is too large for dense analysis.
-    TooLarge {
-        /// States found.
-        states: usize,
-        /// The configured cap.
-        cap: usize,
+    /// The chain has more than one recurrent class (bottom strongly
+    /// connected component): the long run depends on which class an
+    /// early random choice falls into, so no single steady state
+    /// exists.
+    MultipleRecurrentClasses {
+        /// A state of one recurrent class.
+        first: usize,
+        /// A state of another.
+        second: usize,
     },
     /// The iteration did not converge (pathological chain).
     NoConvergence,
@@ -61,9 +71,11 @@ impl fmt::Display for MarkovError {
                 write!(f, "state {state} deadlocks; no steady state exists")
             }
             MarkovError::Zeno => write!(f, "no time ever passes (zero-delay cycle)"),
-            MarkovError::TooLarge { states, cap } => {
-                write!(f, "{states} states exceed the analysis cap of {cap}")
-            }
+            MarkovError::MultipleRecurrentClasses { first, second } => write!(
+                f,
+                "states {first} and {second} lie in different recurrent classes; \
+                 no single steady state exists"
+            ),
             MarkovError::NoConvergence => write!(f, "stationary iteration did not converge"),
         }
     }
@@ -84,44 +96,28 @@ impl From<pnut_reach::ReachError> for MarkovError {
     }
 }
 
-/// Limits for the analysis.
+/// Options for the analysis. The chain cap is `reach.max_states`
+/// (20 000 by default): the build stops there with
+/// [`pnut_reach::ReachError::StateLimit`]. The solver's sweep cap
+/// (200 000) and its convergence tolerance (1e-12) are constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkovOptions {
-    /// Maximum states for the dense chain.
-    pub max_states: usize,
-    /// Power-iteration sweep cap.
-    pub max_iterations: usize,
-    /// L1 convergence tolerance on the running average.
-    pub tolerance: f64,
-    /// Worker threads for the underlying timed reachability build (see
-    /// [`pnut_reach::ReachOptions::jobs`]); the chain extraction itself
-    /// is dense linear algebra and stays single-threaded.
-    pub jobs: usize,
-    /// Resident byte budget for the reachability build's state and
-    /// edge arenas (see [`pnut_reach::ReachOptions::mem_budget`]). The
-    /// chain extraction and the place-average pass honor it by
-    /// scanning the *graph* segment-at-a-time instead of faulting it
-    /// resident — but the budget governs the graph arenas only: the
-    /// extracted jump chain itself (one `(target, probability, label)`
-    /// entry per edge, plus the `O(states)` iteration vectors) is dense
-    /// and stays unconditionally in memory, outside the pager ledger.
-    /// The dense-chain cap is [`Self::max_states`]; paging the chain is
-    /// not attempted.
-    pub mem_budget: usize,
-    /// Spill directory for the reachability build (see
-    /// [`pnut_reach::ReachOptions::spill_dir`]).
-    pub spill_dir: Option<std::path::PathBuf>,
+    /// The timed reachability build's options. `jobs` parallelizes the
+    /// build only. `mem_budget` governs the graph arenas, which the
+    /// chain extraction and the place-average pass scan
+    /// segment-at-a-time; the extracted chain (one entry per edge) and
+    /// the `O(states)` iteration vectors stay in memory outside the
+    /// pager ledger, bounded through `max_states`.
+    pub reach: ReachOptions,
 }
 
 impl Default for MarkovOptions {
     fn default() -> Self {
         MarkovOptions {
-            max_states: 20_000,
-            max_iterations: 200_000,
-            tolerance: 1e-12,
-            jobs: 1,
-            mem_budget: usize::MAX,
-            spill_dir: None,
+            reach: ReachOptions {
+                max_states: 20_000,
+                ..ReachOptions::default()
+            },
         }
     }
 }
@@ -162,6 +158,9 @@ impl SteadyState {
     }
 }
 
+/// One jump of the embedded chain: `(successor, probability, label)`.
+type Jump = (usize, f64, EdgeLabel);
+
 /// Compute the steady state of `net` (no randomness; constant or
 /// deterministic table-driven firing times; constant enabling times —
 /// the timed-reachability class, which covers the paper's §2/§3
@@ -193,132 +192,102 @@ impl SteadyState {
 /// ```
 #[allow(clippy::needless_range_loop)] // matrix/state indexing reads clearest with indices
 pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, MarkovError> {
-    let mut graph = build_timed(
-        net,
-        &ReachOptions {
-            max_states: options.max_states,
-            jobs: options.jobs,
-            mem_budget: options.mem_budget,
-            spill_dir: options.spill_dir.clone(),
-        },
-    )?;
+    let mut graph = build_timed(net, &options.reach)?;
     let n = graph.state_count();
-    if n > options.max_states {
-        return Err(MarkovError::TooLarge {
-            states: n,
-            cap: options.max_states,
-        });
-    }
     // Phase-scope the resident high-water mark: from here on the peak
     // measures the *analysis* sweeps, which promise to stay inside the
     // byte budget (verified below in debug builds).
     graph.reset_peak_resident_bytes();
 
-    // Embedded jump chain: per state, (successor, probability, label).
-    // Extracted in one segment-ordered `sweep` (evicting back under the
-    // byte budget between segments), so the extraction phase stays
-    // inside `mem_budget` instead of faulting the whole graph resident. Deadlocks surface here too (segment order is state
-    // order, so the first one found is the lowest-numbered, matching
-    // the pre-paging behaviour of `deadlocks().first()`).
+    // The embedded jump chain in compressed sparse rows: the jumps out
+    // of state `s` are `jumps[offsets[s]..offsets[s + 1]]`. Extracted
+    // in one segment-ordered `sweep` (evicting back under the byte
+    // budget between segments), so the extraction phase stays inside
+    // `mem_budget` instead of faulting the whole graph resident.
+    // Deadlocks surface here too (segment order is state order, so the
+    // first one found is the lowest-numbered).
     let extract_span = obs::span("markov.extract");
-    let mut jumps: Vec<Vec<(usize, f64, EdgeLabel)>> = Vec::with_capacity(n);
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut jumps: Vec<Jump> = Vec::with_capacity(graph.edge_count());
     let mut sojourn = vec![0.0f64; n];
     graph.sweep(|s, guard| -> Result<(), MarkovError> {
         let edges = guard.successors(s)?;
         if edges.is_empty() {
             return Err(MarkovError::Deadlock { state: s });
         }
-        let fires: Vec<_> = edges
-            .iter()
-            .filter(|(l, _)| matches!(l, EdgeLabel::Fire(_)))
-            .collect();
-        if !fires.is_empty() {
-            let total: f64 = fires
-                .iter()
-                .map(|&&(l, _)| match l {
-                    EdgeLabel::Fire(t) => net.transition(t).frequency(),
-                    EdgeLabel::Advance(_) => 0.0,
-                })
-                .sum();
-            jumps.push(
-                fires
-                    .iter()
-                    .map(|&&(l, to)| {
-                        let f = match l {
-                            EdgeLabel::Fire(t) => net.transition(t).frequency(),
-                            EdgeLabel::Advance(_) => 0.0,
-                        };
-                        (to as usize, f / total, l)
-                    })
-                    .collect(),
-            );
-        } else {
-            // Exactly one Advance edge (maximal-progress construction).
-            let &(label, to) = edges.first().expect("non-deadlock state has an edge");
-            let EdgeLabel::Advance(dt) = label else {
-                unreachable!("non-fire edge is an advance");
+        // Maximal progress: a state has either Fire edges, weighted by
+        // frequency, or one Advance edge, taken with probability 1.
+        let start = jumps.len();
+        let mut total = 0.0f64;
+        for &(label, to) in edges {
+            let weight = match label {
+                EdgeLabel::Fire(t) => net.transition(t).frequency(),
+                EdgeLabel::Advance(dt) => {
+                    sojourn[s] = dt as f64;
+                    1.0
+                }
             };
-            sojourn[s] = dt as f64;
-            jumps.push(vec![(to as usize, 1.0, label)]);
+            total += weight;
+            jumps.push((to as usize, weight, label));
         }
+        for jump in &mut jumps[start..] {
+            jump.1 /= total;
+        }
+        offsets.push(jumps.len());
         Ok(())
     })?;
-    obs::metrics::MARKOV_EXTRACTED_EDGES.add(jumps.iter().map(|out| out.len() as u64).sum());
+    obs::metrics::MARKOV_EXTRACTED_EDGES.add(jumps.len() as u64);
     drop(extract_span);
+    let row = |s: usize| &jumps[offsets[s]..offsets[s + 1]];
     if sojourn.iter().all(|&t| t == 0.0) {
         return Err(MarkovError::Zeno);
     }
 
     // The long-run behaviour lives in the bottom strongly connected
-    // component reachable from the initial state (transient start-up
-    // states have zero long-run weight). Physical models have exactly
-    // one; several would mean the long run depends on random absorption
-    // and no single steady state exists.
-    let recurrent = bottom_scc(&jumps, n)?;
+    // component (transient start-up states have zero long-run weight).
+    let recurrent = bottom_scc(n, row)?;
 
     // Stationary distribution of the jump chain on the recurrent class,
     // by power iteration on the *lazy* chain (P + I) / 2 — aperiodic by
     // construction with the same stationary vector, so convergence is
     // geometric even for periodic nets.
-    let mut average = vec![0.0f64; n];
-    {
-        let members: Vec<usize> = (0..n).filter(|&s| recurrent[s]).collect();
-        for &s in &members {
-            average[s] = 1.0 / members.len() as f64;
-        }
-    }
+    let members = recurrent.iter().filter(|&&r| r).count();
+    let mut average: Vec<f64> = recurrent
+        .iter()
+        .map(|&r| if r { 1.0 / members as f64 } else { 0.0 })
+        .collect();
+    let mut next = vec![0.0f64; n];
     let solve_span = obs::span("markov.solve");
-    let mut converged = false;
-    for iter in 0..options.max_iterations {
+    for iter in 0.. {
+        if iter == MAX_ITERATIONS {
+            return Err(MarkovError::NoConvergence);
+        }
         obs::metrics::MARKOV_SOLVER_ITERATIONS.inc();
         obs::heartbeat(iter as u64 + 1, || {
             format!(
-                "markov solve: iteration {} of at most {}",
-                iter + 1,
-                options.max_iterations
+                "markov solve: iteration {} of at most {MAX_ITERATIONS}",
+                iter + 1
             )
         });
-        let mut next = vec![0.0f64; n];
-        for (s, out) in jumps.iter().enumerate() {
+        next.fill(0.0);
+        for (s, (&lo, &hi)) in offsets.iter().zip(&offsets[1..]).enumerate() {
             if average[s] == 0.0 {
                 continue;
             }
-            next[s] += 0.5 * average[s];
-            for &(to, p, _) in out {
-                next[to] += 0.5 * average[s] * p;
+            let half = 0.5 * average[s];
+            next[s] += half;
+            for &(to, p, _) in &jumps[lo..hi] {
+                next[to] += half * p;
             }
         }
         let delta: f64 = next.iter().zip(&average).map(|(a, b)| (a - b).abs()).sum();
-        average = next;
-        if delta < options.tolerance {
-            converged = true;
+        std::mem::swap(&mut average, &mut next);
+        if delta < TOLERANCE {
             break;
         }
     }
     drop(solve_span);
-    if !converged {
-        return Err(MarkovError::NoConvergence);
-    }
 
     // Time-weight by sojourns.
     let mean_sojourn: f64 = average.iter().zip(&sojourn).map(|(&p, &t)| p * t).sum();
@@ -351,18 +320,18 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // finite budget is set (debug builds only; the paged-analysis test
     // harness exercises this at a 64 KiB budget).
     #[cfg(debug_assertions)]
-    if options.mem_budget != usize::MAX {
+    if options.reach.mem_budget != usize::MAX {
         let guard = graph.max_state_segment_bytes() + graph.max_edge_segment_bytes();
         let slack = guard
             + graph
                 .max_state_segment_bytes()
                 .max(graph.max_edge_segment_bytes());
         debug_assert!(
-            graph.peak_resident_bytes() <= options.mem_budget + slack,
+            graph.peak_resident_bytes() <= options.reach.mem_budget + slack,
             "markov analysis phase peaked at {} resident bytes \
              (budget {} + guard/segment slack {})",
             graph.peak_resident_bytes(),
-            options.mem_budget,
+            options.reach.mem_budget,
             slack
         );
     }
@@ -370,8 +339,8 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // Throughput of t: expected Fire(t) jumps per tick
     //   = Σ_s π(s) · P(s fires t) / mean_sojourn.
     let mut transition_throughput = vec![0.0f64; net.transition_count()];
-    for (s, out) in jumps.iter().enumerate() {
-        for &(_, p, label) in out {
+    for s in 0..n {
+        for &(_, p, label) in row(s) {
             if let EdgeLabel::Fire(t) = label {
                 transition_throughput[t.index()] += average[s] * p;
             }
@@ -389,87 +358,67 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     })
 }
 
-/// The set of states in the unique bottom SCC reachable from state 0.
+/// The states of the chain's unique bottom SCC, its recurrent class.
+///
+/// State `s` is recurrent iff every state reachable from `s` reaches
+/// `s` back. Every state of a reachability graph is reachable from the
+/// initial state, so every state is a candidate. Model graphs are
+/// small; O(n · edges) is fine.
 ///
 /// # Errors
 ///
-/// [`MarkovError::NoConvergence`] is *not* used here; multiple bottom
-/// SCCs are reported as deadlock-like absence of a single steady state.
-fn bottom_scc(jumps: &[Vec<(usize, f64, EdgeLabel)>], n: usize) -> Result<Vec<bool>, MarkovError> {
-    // Tarjan-free approach: repeatedly test, for each state s reachable
-    // from 0, whether s is in a bottom class: every state reachable from
-    // s can reach s. Model graphs are small; O(n * edges) is fine.
-    let reachable_from = |start: usize| -> Vec<bool> {
-        let mut seen = vec![false; n];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(v) = stack.pop() {
-            for &(w, _, _) in &jumps[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        seen
-    };
-    // Reverse adjacency for co-reachability.
+/// [`MarkovError::MultipleRecurrentClasses`] when a second class turns
+/// up.
+fn bottom_scc<'a>(n: usize, row: impl Fn(usize) -> &'a [Jump]) -> Result<Vec<bool>, MarkovError> {
     let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (v, out) in jumps.iter().enumerate() {
-        for &(w, _, _) in out {
+    for v in 0..n {
+        for &(w, _, _) in row(v) {
             reverse[w].push(v);
         }
     }
-    let coreachable_of = |start: usize| -> Vec<bool> {
-        let mut seen = vec![false; n];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(v) = stack.pop() {
-            for &w in &reverse[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        seen
-    };
-    let from_initial = reachable_from(0);
-    let mut recurrent = vec![false; n];
-    let mut found_class_rep: Option<usize> = None;
+    let mut recurrent: Option<(usize, Vec<bool>)> = None;
     for s in 0..n {
-        if !from_initial[s] || recurrent[s] {
+        if recurrent.as_ref().is_some_and(|(_, class)| class[s]) {
             continue;
         }
-        let reach_s = reachable_from(s);
-        let coreach_s = coreachable_of(s);
-        // s is recurrent iff everything reachable from s reaches s back.
-        let is_recurrent = (0..n).filter(|&v| reach_s[v]).all(|v| coreach_s[v]);
-        if is_recurrent {
-            match found_class_rep {
-                None => {
-                    found_class_rep = Some(s);
-                    for (v, r) in recurrent.iter_mut().enumerate() {
-                        *r = reach_s[v];
-                    }
-                }
-                Some(rep) => {
-                    // Same class if s reaches rep.
-                    if !reach_s[rep] {
-                        return Err(MarkovError::NoConvergence);
-                    }
-                }
+        let reach_s = reachable_from(n, s, |v| row(v).iter().map(|&(w, _, _)| w));
+        let coreach_s = reachable_from(n, s, |v| reverse[v].iter().copied());
+        if !(0..n).filter(|&v| reach_s[v]).all(|v| coreach_s[v]) {
+            continue;
+        }
+        // A recurrent state outside the first class found starts
+        // another class.
+        if let Some((first, _)) = recurrent {
+            return Err(MarkovError::MultipleRecurrentClasses { first, second: s });
+        }
+        recurrent = Some((s, reach_s));
+    }
+    // A finite chain without deadlocks always has a bottom SCC.
+    recurrent
+        .map(|(_, class)| class)
+        .ok_or(MarkovError::NoConvergence)
+}
+
+/// The states reachable from `start` along `next`, as a membership
+/// vector over `0..n`.
+fn reachable_from<I: IntoIterator<Item = usize>>(
+    n: usize,
+    start: usize,
+    next: impl Fn(usize) -> I,
+) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    let mut stack = vec![start];
+    seen[start] = true;
+    while let Some(v) = stack.pop() {
+        for w in next(v) {
+            if !seen[w] {
+                seen[w] = true;
+                stack.push(w);
             }
         }
     }
-    if found_class_rep.is_none() {
-        return Err(MarkovError::NoConvergence);
-    }
-    Ok(recurrent)
+    seen
 }
-
-/// Sanity shim so the module is reachable from the crate root docs.
-pub(crate) fn _module_marker(_: &ReachabilityGraph) {}
 
 #[cfg(test)]
 mod tests {
@@ -553,14 +502,8 @@ mod tests {
 
     #[test]
     fn place_occupancy_analytic() {
-        // Token *rests* on places (zero firing times move it; holding
-        // is modeled by a delayed drain): a -> (hold 3) -> b -> (hold 1) -> a.
-        // Build with firing times on the move *out* of each place, so
-        // `a` is occupied while `drain_a` is in flight... instead use a
-        // structure where occupancy is visible: a holds the token while
-        // `leave_a` (firing 0) is blocked by a timer loop. Simplest
-        // observable case: tokens rest during *other* transitions'
-        // firing.
+        // The token rests on `waiting` while another transition (the
+        // timer `tick`) fires, so the place's occupancy is visible.
         let mut b = NetBuilder::new("rest");
         b.place("waiting", 1);
         b.place("go", 0);
@@ -616,6 +559,41 @@ mod tests {
     }
 
     #[test]
+    fn two_recurrent_classes_are_named() {
+        // `start` commits the token to one of two timed rings for good:
+        // two recurrent classes, so no single steady state exists.
+        let mut b = NetBuilder::new("fork");
+        b.place("start", 1);
+        for ring in ["a", "b"] {
+            let (p, q) = (format!("{ring}1"), format!("{ring}2"));
+            b.place(&p, 0);
+            b.place(&q, 0);
+            b.transition(format!("to_{ring}"))
+                .input("start")
+                .output(&p)
+                .add();
+            b.transition(format!("{ring}_fwd"))
+                .input(&p)
+                .output(&q)
+                .firing(2)
+                .add();
+            b.transition(format!("{ring}_back"))
+                .input(&q)
+                .output(&p)
+                .firing(1)
+                .add();
+        }
+        let net = b.build().unwrap();
+        let err = steady_state(&net, &MarkovOptions::default()).unwrap_err();
+        let MarkovError::MultipleRecurrentClasses { first, second } = err else {
+            panic!("expected MultipleRecurrentClasses, got {err:?}");
+        };
+        assert_ne!(first, second);
+        assert_ne!(first, 0, "the initial state is transient");
+        assert!(err.to_string().contains("recurrent classes"), "{err}");
+    }
+
+    #[test]
     fn enabling_time_nets_are_analyzed_exactly() {
         // An enabling-3 hand-off ring: one completion of each
         // transition every 3 ticks, with the token resting on `p`
@@ -656,11 +634,9 @@ mod tests {
             let t = b.transition("t").input("p").output("q");
             if expr {
                 t.enabling_expr(pnut_core::Expr::parse("d").unwrap()).add();
+                b.var("d", 3);
             } else {
                 t.enabling(3).add();
-            }
-            if expr {
-                b.var("d", 3);
             }
             b.transition("r").input("q").output("p").add();
             b.build().unwrap()

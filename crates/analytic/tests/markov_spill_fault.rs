@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use pnut_analytic::markov::{steady_state, MarkovError, MarkovOptions};
 use pnut_core::NetBuilder;
-use pnut_reach::graph::{build_timed, ReachOptions};
+use pnut_reach::graph::build_timed;
 use pnut_reach::pager::fail::{fail_nth_spill_read, reset_spill_failures};
 use pnut_reach::ReachError;
 
@@ -63,11 +63,10 @@ fn wide_ring_net() -> pnut_core::Net {
 }
 
 fn paged_options(jobs: usize) -> MarkovOptions {
-    MarkovOptions {
-        jobs,
-        mem_budget: 64 * 1024,
-        ..MarkovOptions::default()
-    }
+    let mut options = MarkovOptions::default();
+    options.reach.jobs = jobs;
+    options.reach.mem_budget = 64 * 1024;
+    options
 }
 
 fn expect_read_spill(err: MarkovError) {
@@ -96,16 +95,7 @@ fn extraction_and_average_sweeps_survive_injected_reload_failure() {
     // Meter the build alone, then the whole analysis, with the same
     // graph options `steady_state` uses internally.
     let before = faults();
-    let g = build_timed(
-        &net,
-        &ReachOptions {
-            max_states: options.max_states,
-            jobs: options.jobs,
-            mem_budget: options.mem_budget,
-            spill_dir: options.spill_dir.clone(),
-        },
-    )
-    .expect("bounded build");
+    let g = build_timed(&net, &options.reach).expect("bounded build");
     let build_faults = faults() - before;
     assert!(g.spilled_bytes() > 0, "the ring must outgrow 64 KiB");
     drop(g);

@@ -24,6 +24,7 @@
 //! or query evaluated to *false* (so shell scripts can branch on model
 //! properties, grep-style).
 
+use pnut_analytic::markov::MarkovOptions;
 use pnut_core::{Net, Time};
 use pnut_obs as obs;
 use pnut_trace::{RecordedTrace, TraceSink};
@@ -165,18 +166,6 @@ fn parse_max_states(args: &mut Args<'_>, cmd: &str) -> Result<Option<usize>, Cli
     Ok(max)
 }
 
-/// Parse and validate the shared `--max-states N` / `--jobs N`
-/// exploration options, returning `(max_states, jobs)` where present.
-/// `--jobs 0` means "use all available cores".
-fn parse_limit_flags(
-    args: &mut Args<'_>,
-    cmd: &str,
-) -> Result<(Option<usize>, Option<usize>), CliError> {
-    let max = parse_max_states(args, cmd)?;
-    let jobs = parse_opt::<usize>(args, "--jobs", cmd)?;
-    Ok((max, jobs))
-}
-
 /// Parse a byte-size value like `65536`, `64KiB`, `512MB`, or `2GiB`
 /// (binary multipliers throughout; `unlimited` disables the budget).
 /// One shared implementation with the `--stats` output formatter, so
@@ -185,57 +174,39 @@ fn parse_byte_size(value: &str) -> Option<usize> {
     obs::bytes::parse_bytes(value).and_then(|n| usize::try_from(n).ok())
 }
 
-/// Parse the shared paging options `--mem-budget BYTES` /
-/// `--spill-dir DIR`, returning `(mem_budget, spill_dir)` where
-/// present. The budget must be positive (use `unlimited`, or omit the
-/// flag, to disable paging). Warns when `--spill-dir` is set but the
-/// budget stays unlimited — nothing would ever spill, which is almost
-/// certainly not what the user meant.
-fn parse_pager_flags(
-    args: &mut Args<'_>,
-    cmd: &str,
-) -> Result<(Option<usize>, Option<std::path::PathBuf>), CliError> {
-    let budget = args
-        .value("--mem-budget")
-        .map(|v| {
-            parse_byte_size(&v).filter(|&b| b > 0).ok_or_else(|| {
-                err(format!(
-                    "{cmd}: --mem-budget must be a positive byte size (e.g. 64KiB, 512MB, unlimited)"
-                ))
-            })
-        })
-        .transpose()?;
-    let dir = args.value("--spill-dir").map(std::path::PathBuf::from);
-    if dir.is_some() && budget.is_none_or(|b| b == usize::MAX) {
-        eprintln!(
-            "{cmd}: warning: --spill-dir has no effect without a finite --mem-budget \
-             (the default budget is unlimited, so nothing ever spills)"
-        );
-    }
-    Ok((budget, dir))
-}
-
-/// [`parse_limit_flags`] + [`parse_pager_flags`] applied to
-/// [`pnut_reach::ReachOptions`].
+/// Parse and validate the shared exploration options over
+/// `defaults`: `--max-states N` (positive), `--jobs N` (`0` = all
+/// cores), and the paging pair `--mem-budget BYTES` / `--spill-dir
+/// DIR`. The budget must be positive (use `unlimited`, or omit the
+/// flag, to disable paging). `--spill-dir` needs a finite budget:
+/// without one nothing ever spills, so the flag would do nothing.
 fn parse_reach_options(
     args: &mut Args<'_>,
     cmd: &str,
     defaults: pnut_reach::ReachOptions,
 ) -> Result<pnut_reach::ReachOptions, CliError> {
-    let (max, jobs) = parse_limit_flags(args, cmd)?;
-    let (budget, spill_dir) = parse_pager_flags(args, cmd)?;
     let mut options = defaults;
-    if let Some(max) = max {
+    if let Some(max) = parse_max_states(args, cmd)? {
         options.max_states = max;
     }
-    if let Some(jobs) = jobs {
+    if let Some(jobs) = parse_opt::<usize>(args, "--jobs", cmd)? {
         options.jobs = jobs;
     }
-    if let Some(budget) = budget {
-        options.mem_budget = budget;
+    if let Some(budget) = args.value("--mem-budget") {
+        options.mem_budget = parse_byte_size(&budget).filter(|&b| b > 0).ok_or_else(|| {
+            err(format!(
+                "{cmd}: --mem-budget must be a positive byte size (e.g. 64KiB, 512MB, unlimited)"
+            ))
+        })?;
     }
-    if spill_dir.is_some() {
-        options.spill_dir = spill_dir;
+    if let Some(dir) = args.value("--spill-dir") {
+        if options.mem_budget == usize::MAX {
+            return Err(err(format!(
+                "{cmd}: --spill-dir needs a finite --mem-budget \
+                 (the default budget is unlimited, so nothing would ever spill)"
+            )));
+        }
+        options.spill_dir = Some(dir.into());
     }
     Ok(options)
 }
@@ -418,12 +389,14 @@ usage: pnut <command> [args]
   timeline <trace.json> [--from A] [--to B] [--probe NAME]... [--fn L=EXPR]...
   anim <trace.json> [--max-frames N]
   reach <model.pn> [--timed] [--ctl FORMULA] [--max-states N] [--jobs N]
-                   [--mem-budget BYTES] [--spill-dir DIR]
+                   [--mem-budget BYTES [--spill-dir DIR]]
                    [--check-invariants] [observability]
   cover <model.pn> [--max-states N]    Karp–Miller boundedness
   cycle <model.pn>                     analytic cycle time (marked graphs)
   markov <model.pn> [--max-states N] [--jobs N]  analytic steady state
-                    [--mem-budget BYTES] [--spill-dir DIR] [observability]
+                    [--mem-budget BYTES [--spill-dir DIR]] [observability]
+                    (power iteration on the jump chain: at most 200000
+                    sweeps, stopping once an L1 step is below 1e-12)
   heatmap <trace.json>                 activity heatmap (bottleneck feedback)
   measure <trace.json> [--pulses PLACE] [--intervals TRANS] [--latency FROM,TO]
 
@@ -438,9 +411,9 @@ for markov). --jobs N explores the frontier with N worker threads
 (0 = all cores, default 1); results are identical at any job count.
 --mem-budget caps the resident state AND edge arenas under one shared
 budget (e.g. 64KiB, 512MB; default unlimited): cold level segments
-spill to a temp file in --spill-dir (default: system temp) and reload
-on demand, so state spaces can exceed RAM; results are identical at
-any budget. The budget is honored end to end: --ctl model checking,
+spill to a temp file in --spill-dir (default: system temp; a usage
+error without a finite --mem-budget) and reload on demand, so state
+spaces can exceed RAM; results are identical at any budget. The budget is honored end to end: --ctl model checking,
 the deadlock/bound report, and markov's chain extraction all sweep
 the graph segment-at-a-time, evicting between segments, instead of
 faulting the whole store back into memory. (markov's *extracted*
@@ -981,21 +954,8 @@ fn cmd_markov(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let path = args
         .positional()
         .ok_or_else(|| err("markov: need a model file"))?;
-    let mut options = pnut_analytic::markov::MarkovOptions::default();
-    let (max, jobs) = parse_limit_flags(&mut args, "markov")?;
-    let (budget, spill_dir) = parse_pager_flags(&mut args, "markov")?;
-    if let Some(max) = max {
-        options.max_states = max;
-    }
-    if let Some(jobs) = jobs {
-        options.jobs = jobs;
-    }
-    if let Some(budget) = budget {
-        options.mem_budget = budget;
-    }
-    if spill_dir.is_some() {
-        options.spill_dir = spill_dir;
-    }
+    let reach = parse_reach_options(&mut args, "markov", MarkovOptions::default().reach)?;
+    let options = MarkovOptions { reach };
     let mut session = ObsSession::from_args(&mut args, "markov")?;
     args.finish()?;
     let net = {
@@ -1539,6 +1499,33 @@ mod tests {
                 e.to_string().contains(&format!("{flag} is not supported")),
                 "{e}"
             );
+            assert!(out.is_empty(), "no partial report: {out}");
+        }
+    }
+
+    #[test]
+    fn spill_dir_without_a_finite_budget_is_rejected() {
+        // Without a finite budget nothing ever spills, so `--spill-dir`
+        // would be accepted only to be ignored.
+        let dir = tmpdir("spillflag");
+        let model = write_model(&dir);
+        for argv in [
+            vec!["reach", &model, "--spill-dir", "/tmp"],
+            vec!["markov", &model, "--spill-dir", "/tmp"],
+            vec![
+                "markov",
+                &model,
+                "--mem-budget",
+                "unlimited",
+                "--spill-dir",
+                "/tmp",
+            ],
+        ] {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let mut out = String::new();
+            let e = run(&argv, &mut out).unwrap_err();
+            let needs_budget = "--spill-dir needs a finite --mem-budget";
+            assert!(e.to_string().contains(needs_budget), "{argv:?}: {e}");
             assert!(out.is_empty(), "no partial report: {out}");
         }
     }

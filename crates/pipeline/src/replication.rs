@@ -11,6 +11,7 @@
 use crate::config::ThreeStageConfig;
 use crate::metrics::PipelineMetrics;
 use crate::run_experiment;
+use pnut_stat::t_quantile_975;
 use std::fmt;
 
 /// Mean, deviation, and 95% confidence half-width of one metric across
@@ -61,51 +62,6 @@ impl Estimate {
 impl fmt::Display for Estimate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.4} ± {:.4}", self.mean, self.ci95_half_width)
-    }
-}
-
-/// Two-sided 97.5% quantile of Student's t for `df` degrees of freedom
-/// (table lookup, asymptote 1.96).
-fn t_quantile_975(df: usize) -> f64 {
-    const TABLE: [f64; 31] = [
-        f64::INFINITY,
-        12.706,
-        4.303,
-        3.182,
-        2.776,
-        2.571,
-        2.447,
-        2.365,
-        2.306,
-        2.262,
-        2.228,
-        2.201,
-        2.179,
-        2.160,
-        2.145,
-        2.131,
-        2.120,
-        2.110,
-        2.101,
-        2.093,
-        2.086,
-        2.080,
-        2.074,
-        2.069,
-        2.064,
-        2.060,
-        2.056,
-        2.052,
-        2.048,
-        2.045,
-        2.042,
-    ];
-    match df {
-        0 => f64::INFINITY,
-        d if d < TABLE.len() => TABLE[d],
-        d if d < 60 => 2.01,
-        d if d < 120 => 1.98,
-        _ => 1.96,
     }
 }
 

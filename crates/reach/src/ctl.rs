@@ -51,6 +51,8 @@ pub enum CtlError {
     },
     /// An atomic proposition referenced an unknown place/transition.
     UnknownName(String),
+    /// An atom's arithmetic overflowed `i64` in some state.
+    Overflow,
     /// A sweep failed to page a graph segment ([`ReachError::Spill`]:
     /// the spill file vanished, the disk errored, or a reloaded image
     /// was rejected as corrupt). The graph stays usable; a retry
@@ -65,6 +67,7 @@ impl fmt::Display for CtlError {
             CtlError::UnknownName(n) => {
                 write!(f, "`{n}` is neither a place nor a transition of the net")
             }
+            CtlError::Overflow => write!(f, "integer overflow in an atomic proposition"),
             CtlError::Reach(e) => write!(f, "{e}"),
         }
     }
@@ -202,8 +205,8 @@ pub fn check(
 }
 
 fn eval_term(term: &Term, state: StateRef<'_>, net: &Net) -> Result<i64, CtlError> {
-    match term {
-        Term::Int(v) => Ok(*v),
+    let value = match term {
+        Term::Int(v) => Some(*v),
         Term::Name(n) => {
             if let Some(p) = net.place_id(n) {
                 return Ok(i64::from(state.marking.tokens(p)));
@@ -211,12 +214,13 @@ fn eval_term(term: &Term, state: StateRef<'_>, net: &Net) -> Result<i64, CtlErro
             if let Some(t) = net.transition_id(n) {
                 return Ok(state.in_flight.iter().filter(|&&(x, _)| x == t).count() as i64);
             }
-            Err(CtlError::UnknownName(n.clone()))
+            return Err(CtlError::UnknownName(n.clone()));
         }
-        Term::Add(a, b) => Ok(eval_term(a, state, net)? + eval_term(b, state, net)?),
-        Term::Sub(a, b) => Ok(eval_term(a, state, net)? - eval_term(b, state, net)?),
-        Term::Mul(a, b) => Ok(eval_term(a, state, net)? * eval_term(b, state, net)?),
-    }
+        Term::Add(a, b) => eval_term(a, state, net)?.checked_add(eval_term(b, state, net)?),
+        Term::Sub(a, b) => eval_term(a, state, net)?.checked_sub(eval_term(b, state, net)?),
+        Term::Mul(a, b) => eval_term(a, state, net)?.checked_mul(eval_term(b, state, net)?),
+    };
+    value.ok_or(CtlError::Overflow)
 }
 
 /// [`ReachabilityGraph::sweep`], counted in `ctl.sweeps`. Every sweep
@@ -793,6 +797,16 @@ mod tests {
         assert!(holds(&net, "EF (a_cs = 1)"));
         assert!(holds(&net, "EF (b_cs = 1)"));
         assert!(!holds(&net, "EF (a_cs = 1 and b_cs = 1)"));
+    }
+
+    #[test]
+    fn arithmetic_overflow_is_an_error() {
+        // 1 · 2^62 · 2 = 2^63 overflows i64 in the states where `a_cs`
+        // is 1; wrapping would make the atom false there.
+        let net = mutex_net();
+        let mut g = build_untimed(&net, &ReachOptions::default()).unwrap();
+        let formula = Formula::parse("AG (a_cs * 4611686018427387904 * 2 >= 0)").unwrap();
+        assert_eq!(check(&mut g, &net, &formula), Err(CtlError::Overflow));
     }
 
     #[test]

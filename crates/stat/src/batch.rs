@@ -82,9 +82,9 @@ impl BatchMeans {
         }
     }
 
-    /// Half-width of an approximate 95% confidence interval over the
-    /// batch means (normal approximation; ≥ 2 batches required,
-    /// otherwise 0).
+    /// Half-width of a 95% confidence interval over the batch means:
+    /// Student's t with n − 1 degrees of freedom times the standard
+    /// error (≥ 2 batches required, otherwise 0).
     pub fn ci95_half_width(&self) -> f64 {
         let n = self.batches.len();
         if n < 2 {
@@ -92,7 +92,51 @@ impl BatchMeans {
         }
         let mean = self.mean();
         let var = self.batches.iter().map(|b| (b - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0);
-        1.96 * (var / n as f64).sqrt()
+        t_quantile_975(n - 1) * (var / n as f64).sqrt()
+    }
+}
+
+/// Two-sided 97.5% quantile of Student's t for `df` degrees of freedom
+/// (table lookup, asymptote 1.96; infinite at 0).
+pub fn t_quantile_975(df: usize) -> f64 {
+    const TABLE: [f64; 31] = [
+        f64::INFINITY,
+        12.706,
+        4.303,
+        3.182,
+        2.776,
+        2.571,
+        2.447,
+        2.365,
+        2.306,
+        2.262,
+        2.228,
+        2.201,
+        2.179,
+        2.160,
+        2.145,
+        2.131,
+        2.120,
+        2.110,
+        2.101,
+        2.093,
+        2.086,
+        2.080,
+        2.074,
+        2.069,
+        2.064,
+        2.060,
+        2.056,
+        2.052,
+        2.048,
+        2.045,
+        2.042,
+    ];
+    match df {
+        d if d < TABLE.len() => TABLE[d],
+        d if d < 60 => 2.01,
+        d if d < 120 => 1.98,
+        _ => 1.96,
     }
 }
 
@@ -139,15 +183,7 @@ impl TraceSink for BatchMeans {
             // Close batches up to the horizon; advance_to pushes every
             // complete batch and leaves the partial accumulation, which
             // is then dropped.
-            let now = end_time.ticks();
-            while self.batch_end <= now {
-                let dt = self.batch_end - self.last_change;
-                self.acc += self.current as f64 * dt as f64;
-                self.batches.push(self.acc / self.batch_ticks as f64);
-                self.acc = 0.0;
-                self.last_change = self.batch_end;
-                self.batch_end += self.batch_ticks;
-            }
+            self.advance_to(end_time.ticks());
         }
     }
 }
@@ -241,6 +277,29 @@ mod tests {
             .frequency(0.3)
             .add();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn half_width_uses_students_t() {
+        // Batches of 10 ticks with means 0, 1, 3 and 2 (p = 0 then 4
+        // for five ticks each): n = 4, sample variance 5/3, t(3) = 3.182.
+        let mut bm = BatchMeans::new("p", 10);
+        let header = TraceHeader::new("n", vec!["p".into()], vec![]).with_initial_marking(vec![0]);
+        bm.begin(&header);
+        for (step, (time, delta)) in [(10, 1), (20, 2), (30, -3), (35, 4)]
+            .into_iter()
+            .enumerate()
+        {
+            let kind = DeltaKind::PlaceDelta {
+                place: PlaceId::new(0),
+                delta,
+            };
+            bm.delta(&Delta::new(Time::from_ticks(time), step as u64, kind));
+        }
+        bm.end(Time::from_ticks(40));
+        assert_eq!(bm.batches(), &[0.0, 1.0, 3.0, 2.0]);
+        let expected = 3.182 * (5.0f64 / 3.0).sqrt() / 4.0f64.sqrt();
+        assert!((bm.ci95_half_width() - expected).abs() < 1e-12);
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod batch;
 mod collect;
 mod report;
 
-pub use batch::BatchMeans;
+pub use batch::{t_quantile_975, BatchMeans};
 pub use collect::StatCollector;
 pub use report::{PlaceStats, StatReport, TransitionStats};
 

@@ -39,6 +39,8 @@ pub enum QueryError {
     UnboundStateVariable(String),
     /// `#n` referenced a state beyond the trace.
     StateOutOfRange(usize),
+    /// A term's arithmetic overflowed `i64`.
+    Overflow,
 }
 
 impl fmt::Display for QueryError {
@@ -52,6 +54,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::UnboundStateVariable(v) => write!(f, "unbound state variable `{v}`"),
             QueryError::StateOutOfRange(n) => write!(f, "state #{n} is beyond the trace"),
+            QueryError::Overflow => write!(f, "integer overflow in a query term"),
         }
     }
 }
@@ -234,18 +237,25 @@ impl Ctx<'_> {
         term: &Term,
         bindings: &BTreeMap<String, usize>,
     ) -> Result<i64, QueryError> {
-        match term {
-            Term::Int(v) => Ok(*v),
+        let value = match term {
+            Term::Int(v) => Some(*v),
             Term::Count { name, state_var } => {
                 let idx = *bindings
                     .get(state_var)
                     .ok_or_else(|| QueryError::UnboundStateVariable(state_var.clone()))?;
-                self.count(name, idx)
+                return self.count(name, idx);
             }
-            Term::Add(a, b) => Ok(self.eval_term(a, bindings)? + self.eval_term(b, bindings)?),
-            Term::Sub(a, b) => Ok(self.eval_term(a, bindings)? - self.eval_term(b, bindings)?),
-            Term::Mul(a, b) => Ok(self.eval_term(a, bindings)? * self.eval_term(b, bindings)?),
-        }
+            Term::Add(a, b) => self
+                .eval_term(a, bindings)?
+                .checked_add(self.eval_term(b, bindings)?),
+            Term::Sub(a, b) => self
+                .eval_term(a, bindings)?
+                .checked_sub(self.eval_term(b, bindings)?),
+            Term::Mul(a, b) => self
+                .eval_term(a, bindings)?
+                .checked_mul(self.eval_term(b, bindings)?),
+        };
+        value.ok_or(QueryError::Overflow)
     }
 
     fn eval_formula(
@@ -784,6 +794,16 @@ mod tests {
         let o = check("forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]", &t);
         assert!(o.holds);
         assert!(o.witness.is_none());
+    }
+
+    #[test]
+    fn arithmetic_overflow_is_an_error() {
+        // 2^62 · 2 = 2^63 overflows i64 once the bus is busy; wrapping
+        // would make the comparison false there.
+        let t = sample_trace();
+        let q =
+            Query::parse("forall s in S [ Bus_busy(s) * 4611686018427387904 * 2 >= 0 ]").unwrap();
+        assert_eq!(q.check(&t), Err(QueryError::Overflow));
     }
 
     #[test]

@@ -338,11 +338,9 @@ fn markov_steady_state_is_budget_invariant() {
                 if (jobs, budget) == (1, usize::MAX) {
                     continue;
                 }
-                let opts = MarkovOptions {
-                    jobs,
-                    mem_budget: budget,
-                    ..MarkovOptions::default()
-                };
+                let mut opts = MarkovOptions::default();
+                opts.reach.jobs = jobs;
+                opts.reach.mem_budget = budget;
                 let got = steady_state(&net, &opts).expect("analyzable");
                 assert_eq!(
                     got,
